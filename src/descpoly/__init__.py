@@ -40,7 +40,7 @@ from .permutation import (
     standardize,
     unstandardize,
 )
-from .polynomial import IntPoly, LaurentPoly, NegativeExponentResidue, geometric
+from .polynomial import IntPoly, NegativeExponentResidue, geometric
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "DropExceedsK",
     "IntPoly",
     "JugglingSequence",
-    "LaurentPoly",
     "NegativeExponentResidue",
     "Permutation",
     "RationalBivariateGF",

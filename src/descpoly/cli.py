@@ -16,9 +16,7 @@ import sys
 
 from .descent import (
     CapExceeded,
-    descent_poly_by_closed_form,
-    descent_poly_by_enumeration,
-    descent_poly_by_recurrence,
+    descent_poly,
     kernel_poly,
     kernel_poly_by_duplication,
     kernel_poly_by_stretch,
@@ -67,14 +65,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []
     mismatch = None
     for n in range(n_lo, n_hi + 1):
-        polys = {}
-        for route in routes:
-            if route == "enum":
-                polys[route] = descent_poly_by_enumeration(n, k, cap=cap).poly
-            elif route == "rec":
-                polys[route] = descent_poly_by_recurrence(n, k).poly
-            else:
-                polys[route] = descent_poly_by_closed_form(n, k).poly
+        polys = {route: descent_poly(n, k, route, cap=cap).poly for route in routes}
         agree = len({p.coeffs for p in polys.values()}) == 1
         if not agree and mismatch is None:
             mismatch = (n, k, {r: list(p.coeffs) for r, p in polys.items()})

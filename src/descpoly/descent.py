@@ -11,13 +11,13 @@ iterated stretch-and-multiply, and duplicate-insertion.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import comb
 
 from .eulerian import eulerian_poly
-from .polynomial import IntPoly, LaurentPoly, geometric
+from .permutation import bounded_drop_words
+from .polynomial import IntPoly, NegativeExponentResidue, geometric
 
 
 class CapExceeded(ValueError):
@@ -39,30 +39,6 @@ class DescentPolyResult:
         return self.poly.evaluate(1)
 
 
-def _descent_census(n: int, k: int) -> list[int]:
-    # same right-to-left value choice as the enumeration generator, but only
-    # the running descent count survives to the leaves
-    if n == 0:
-        return [1]
-    counts = [0] * n
-    avail = list(range(1, n + 1))
-    out = [0] * (n + 2)
-
-    def rec(i: int, d: int) -> None:
-        if i == 0:
-            counts[d] += 1
-            return
-        right = out[i + 1] if i < n else 0
-        for idx in range(bisect_left(avail, i - k), len(avail)):
-            v = avail.pop(idx)
-            out[i] = v
-            rec(i - 1, d + 1 if right and v > right else d)
-            avail.insert(idx, v)
-
-    rec(n, 0)
-    return counts
-
-
 def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> DescentPolyResult:
     """Exact descent census over the bounded-drop class; refuses n beyond
     ``cap`` since the work grows like k!(k+1)^(n-k)."""
@@ -70,7 +46,10 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> DescentPolyRes
         raise ValueError("n and k must be nonnegative")
     if n > cap:
         raise CapExceeded(f"enumeration for n={n} exceeds cap {cap}")
-    return DescentPolyResult(n, k, IntPoly(_descent_census(n, k)), "enumeration")
+    counts = [0] * max(n, 1)
+    for _, d in bounded_drop_words(n, k):
+        counts[d] += 1
+    return DescentPolyResult(n, k, IntPoly(counts), "enumeration")
 
 
 @cache
@@ -105,43 +84,41 @@ def descent_poly_by_recurrence(n: int, k: int) -> DescentPolyResult:
     return DescentPolyResult(n, k, _recurrence_prefix(k, n)[n], "recurrence")
 
 
+def _kernel_sum(k: int, mod: int) -> IntPoly:
+    # sum over j of E_{k-j}(u^mod) (u^mod - 1)^j times the tail
+    # sum_t C(k-t, j) u^(t-k); the tail is multiplied by u^k, so the low k
+    # coefficients of the total stand for negative powers and must cancel
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    shift_base = IntPoly((-1,) + (0,) * (mod - 1) + (1,))  # u^mod - 1
+    total = IntPoly()
+    for j in range(k + 1):
+        head = eulerian_poly(k - j).substitute_power(mod) * shift_base**j
+        total = total + head * IntPoly([comb(k - t, j) for t in range(k - j + 1)])
+    for e, c in enumerate(total.coeffs[:k]):
+        if c:
+            raise NegativeExponentResidue(f"nonzero coefficient {c} on power {e - k}")
+    p = IntPoly(total.coeffs[k:])
+    if p.degree != k * (mod - 1):
+        raise ValueError(f"kernel degree {p.degree} != {k * (mod - 1)}")
+    return p
+
+
 @cache
 def kernel_poly(k: int) -> IntPoly:
-    """The degree-k^2 kernel polynomial of the closed form, evaluated exactly
-    in Laurent arithmetic; every negative power must cancel.
+    """The degree-k^2 kernel polynomial of the closed form, evaluated exactly;
+    every negative power of its defining sum must cancel.
 
     >>> kernel_poly(2).coeffs
     (1, 1, 2, 1, 1)
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    mod = k + 1
-    shift_base = IntPoly((-1,) + (0,) * (mod - 1) + (1,))  # u^(k+1) - 1
-    total = LaurentPoly()
-    for j in range(k + 1):
-        head = eulerian_poly(k - j).substitute_power(mod) * shift_base**j
-        tail = LaurentPoly([comb(k - t, j) for t in range(k - j + 1)], -k)
-        total = total + LaurentPoly.from_poly(head) * tail
-    p = total.to_poly()
-    assert p.degree == k * k, f"kernel degree {p.degree} != {k * k}"
-    return p
+    return _kernel_sum(k, k + 1)
 
 
 def stretched_kernel_poly(k: int) -> IntPoly:
     """The stretched kernel straight from its own closed-form sum (modulus
     k+2 in place of k+1); must equal ``stretch(kernel_poly(k), k)``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    mod = k + 2
-    shift_base = IntPoly((-1,) + (0,) * (mod - 1) + (1,))
-    total = LaurentPoly()
-    for t in range(k + 1):
-        head = eulerian_poly(k - t).substitute_power(mod) * shift_base**t
-        tail = LaurentPoly([comb(k - s, t) for s in range(k - t + 1)], -k)
-        total = total + LaurentPoly.from_poly(head) * tail
-    p = total.to_poly()
-    assert p.degree == k * k + k, f"stretched kernel degree {p.degree} != {k * k + k}"
-    return p
+    return _kernel_sum(k, k + 2)
 
 
 def stretch(p: IntPoly, k: int) -> IntPoly:
@@ -205,17 +182,12 @@ def descent_poly_by_closed_form(n: int, k: int) -> DescentPolyResult:
     return DescentPolyResult(n, k, poly, "closed_form")
 
 
-_ROUTES = {
-    "enum": descent_poly_by_enumeration,
-    "rec": descent_poly_by_recurrence,
-    "closed": descent_poly_by_closed_form,
-}
-
-
 def descent_poly(n: int, k: int, route: str = "rec", cap: int = 10) -> DescentPolyResult:
     """Dispatch to one of the three routes by its short name."""
-    if route not in _ROUTES:
-        raise ValueError(f"unknown route {route!r}")
     if route == "enum":
         return descent_poly_by_enumeration(n, k, cap=cap)
-    return _ROUTES[route](n, k)
+    if route == "rec":
+        return descent_poly_by_recurrence(n, k)
+    if route == "closed":
+        return descent_poly_by_closed_form(n, k)
+    raise ValueError(f"unknown route {route!r}")

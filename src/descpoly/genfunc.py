@@ -8,6 +8,7 @@ from the denominator-induced linear recurrence with no division.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -39,16 +40,15 @@ class RationalBivariateGF:
             out.append(acc)
         return out
 
-    def convolution_residual(self, upto: int) -> list[IntPoly]:
-        """Cauchy convolution of denominator and series minus the numerator,
-        coefficient by coefficient in z; identically zero when the pieces are
-        mutually consistent."""
-        c = self.series(upto)
+    def convolution_residual(self, seq: Sequence[IntPoly]) -> list[IntPoly]:
+        """Cauchy convolution of the denominator with ``seq`` minus the
+        numerator, coefficient by coefficient in z; identically zero exactly
+        when ``seq`` is the start of this function's series."""
         residuals = []
-        for n in range(upto + 1):
+        for n in range(len(seq)):
             acc = IntPoly()
             for i in range(min(n, self.k + 1) + 1):
-                acc = acc + self.denominator[i] * c[n - i]
+                acc = acc + self.denominator[i] * seq[n - i]
             if n < len(self.numerator):
                 acc = acc - self.numerator[n]
             residuals.append(acc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .permutation import Permutation
+from .permutation import Permutation, _bsort_word
 
 
 class DropExceedsK(ValueError):
@@ -62,17 +62,12 @@ def throw_sequence(p: Permutation, k: int) -> JugglingSequence:
     return JugglingSequence(tuple(k - (i + 1) + v for i, v in enumerate(p.values)))
 
 
-def _remove_ball_word(seg: tuple[int, ...]) -> tuple[int, ...]:
-    # mirror of one bubble pass: the latest-landing throw moves to the end of
-    # the current segment, shortened by the segment length plus one
-    if not seg:
-        return seg
-    landings = [t + i + 1 for i, t in enumerate(seg)]
-    top = max(landings)
-    if landings.count(top) > 1:
-        raise ValueError(f"ambiguous latest landing in {seg}; not a permutation encoding")
-    j = landings.index(top)
-    return _remove_ball_word(seg[:j]) + seg[j + 1 :] + (top - len(seg) - 1,)
+def _remove_ball_word(throws: tuple[int, ...]) -> tuple[int, ...]:
+    # mirror of one bubble pass: run the pass on the landing times t_i + i + 1;
+    # every throw lands one beat earlier than before, so the landing now at
+    # index i belongs to a throw of height landing - i - 2
+    landings = _bsort_word(tuple(t + i + 1 for i, t in enumerate(throws)))
+    return tuple(land - i - 2 for i, land in enumerate(landings))
 
 
 def remove_ball(T: JugglingSequence) -> JugglingSequence:

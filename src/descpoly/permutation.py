@@ -8,26 +8,42 @@ notation: ``Permutation((3, 1, 2))`` sends 1 to 3.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
 
-def _bsort_word(w: tuple[int, ...]) -> tuple[int, ...]:
-    # one bubble pass: split at the maximum, move it past the right block
+def _bsort_word(w: Sequence[int]) -> tuple[int, ...]:
+    # one bubble pass: carry the running maximum rightwards; each smaller
+    # entry steps one place left, and the carried maximum stops just before
+    # the next larger entry.  A tie with the carried maximum raises.
     if not w:
-        return w
-    m = w.index(max(w))
-    return _bsort_word(w[:m]) + w[m + 1 :] + (w[m],)
+        return ()
+    out = []
+    top = w[0]
+    for x in w[1:]:
+        if x < top:
+            out.append(x)
+        elif x > top:
+            out.append(top)
+            top = x
+        else:
+            raise ValueError(f"entry {x} ties the carried maximum in {tuple(w)}")
+    out.append(top)
+    return tuple(out)
 
 
-def _ssort_word(w: tuple[int, ...]) -> tuple[int, ...]:
-    # one stack pass: recurse on both sides of the maximum
-    if not w:
-        return w
-    m = w.index(max(w))
-    return _ssort_word(w[:m]) + _ssort_word(w[m + 1 :]) + (w[m],)
+def _ssort_word(w: Sequence[int]) -> tuple[int, ...]:
+    # one stack pass (West's stack): before pushing an entry, pop every
+    # smaller entry to the output; empty the stack at the end
+    out: list[int] = []
+    stack: list[int] = []
+    for x in w:
+        while stack and stack[-1] < x:
+            out.append(stack.pop())
+        stack.append(x)
+    out.extend(reversed(stack))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +105,8 @@ class Permutation:
         while w != ident:
             w = _bsort_word(w)
             m += 1
-            assert m <= self.n, "bubble sort failed to terminate"
+            if m > self.n:
+                raise RuntimeError(f"bubble sort failed to terminate within {self.n} passes")
         return m
 
     def __str__(self) -> str:
@@ -180,22 +197,44 @@ def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
     return Permutation(unstandardize(p, ground) + tuple(reversed(xs)))
 
 
-def _bounded_drop_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # fill positions right to left; position i may hold any unused value >= i-k
-    out = [0] * n
+def bounded_drop_words(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every maxdrop <= k word of [n] together with its descent count.
+
+    Positions are filled right to left: position i takes one of the top
+    min(i, k+1) unused values, as a smaller one would drop by more than k.
+    The search is an odometer over those choices with an explicit stack; the
+    last two positions are written out directly.
+    """
+    if n < 2:
+        yield tuple(range(1, n + 1)), 0
+        return
     avail = list(range(1, n + 1))
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == 0:
-            yield tuple(out)
+    tails = [()] * (n + 1)  # tails[i]: the values at positions i+1..n
+    des = [0] * (n + 1)  # des[i]: the descents inside tails[i]
+    idx = [max(0, i - k - 1) for i in range(n + 1)]  # idx[i]: choice at position i
+    i = n
+    while True:
+        if i == 2:
+            a, b = avail
+            tail, d = tails[2], des[2]
+            t0 = tail[0] if tail else n + 1
+            if k:
+                yield (b, a) + tail, d + 1 + (a > t0)
+            yield (a, b) + tail, d + (b > t0)
+            i = 3
+        elif idx[i] < i:
+            v = avail.pop(idx[i])
+            tails[i - 1] = (v,) + tails[i]
+            des[i - 1] = des[i] + (v > tails[i][0] if tails[i] else 0)
+            i -= 1
+            continue
+        else:
+            idx[i] = max(0, i - k - 1)
+            i += 1
+        if i > n:
             return
-        for idx in range(bisect_left(avail, i - k), len(avail)):
-            v = avail.pop(idx)
-            out[i - 1] = v
-            yield from rec(i - 1)
-            avail.insert(idx, v)
-
-    return rec(n)
+        avail.insert(idx[i], tails[i - 1][0])
+        idx[i] += 1
 
 
 def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
@@ -203,7 +242,7 @@ def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
     once, without filtering the full symmetric group."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    for values in _bounded_drop_tuples(n, k):
+    for values, _ in bounded_drop_words(n, k):
         yield Permutation(values)
 
 

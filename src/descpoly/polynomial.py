@@ -1,9 +1,9 @@
 """Exact dense polynomial arithmetic over Python's big integers.
 
 ``IntPoly`` stores coefficients lowest degree first, so ``IntPoly((1, 0, 2))``
-is ``1 + 2u^2``.  ``LaurentPoly`` additionally allows negative exponents; it
-carries the ``u**-i`` intermediates of the closed-form constructions, and
-converting back to an ``IntPoly`` checks that every negative power cancelled.
+is ``1 + 2u^2``.  Negative powers never occur: a sum that carries ``u**-k``
+terms is multiplied through by ``u**k``, and ``NegativeExponentResidue``
+reports a low coefficient that should have cancelled but did not.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 
 class NegativeExponentResidue(ValueError):
-    """A Laurent polynomial kept a nonzero coefficient on a negative power."""
+    """A sum over negative powers kept a nonzero coefficient on one of them."""
 
 
 class IntPoly:
@@ -182,97 +182,3 @@ def geometric(k: int) -> IntPoly:
     if k < 0:
         raise ValueError("geometric sum needs k >= 0")
     return IntPoly((1,) * (k + 1))
-
-
-class LaurentPoly:
-    """Polynomial allowing negative exponents, normalized at both ends.
-
-    ``coeffs[j]`` holds the coefficient of power ``min_exp + j``; the first
-    and last stored coefficients are nonzero unless the value is zero.
-    """
-
-    __slots__ = ("coeffs", "min_exp")
-
-    def __init__(self, coeffs: Iterable[int] = (), min_exp: int = 0):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        drop = 0
-        while drop < len(cs) and cs[drop] == 0:
-            drop += 1
-        cs = cs[drop:]
-        self.coeffs = tuple(cs)
-        self.min_exp = min_exp + drop if cs else 0
-
-    @classmethod
-    def term(cls, coefficient: int, exponent: int) -> LaurentPoly:
-        return cls((coefficient,), exponent)
-
-    @classmethod
-    def from_poly(cls, p: IntPoly) -> LaurentPoly:
-        return cls(p.coeffs, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def max_exp(self) -> int | None:
-        return self.min_exp + len(self.coeffs) - 1 if self.coeffs else None
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        out = [0] * (hi - lo + 1)
-        for j, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + j] += c
-        for j, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + j] += c
-        return LaurentPoly(out, lo)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(tuple(-c for c in self.coeffs), self.min_exp)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            return LaurentPoly(tuple(c * other for c in self.coeffs), self.min_exp)
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return LaurentPoly(out, self.min_exp + other.min_exp)
-
-    __rmul__ = __mul__
-
-    def to_poly(self) -> IntPoly:
-        """Convert to ``IntPoly``; raise ``NegativeExponentResidue`` if a
-        negative power survives normalization."""
-        if self.is_zero():
-            return IntPoly()
-        if self.min_exp < 0:
-            raise NegativeExponentResidue(
-                f"nonzero coefficient {self.coeffs[0]} on power {self.min_exp}"
-            )
-        return IntPoly((0,) * self.min_exp + self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.coeffs == other.coeffs
-            and self.min_exp == other.min_exp
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.min_exp, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.coeffs!r}, min_exp={self.min_exp})"

@@ -176,7 +176,8 @@ def check_gf_series(nmax: int, kmax: int) -> CheckResult:
 def check_gf_convolution(nmax: int, kmax: int) -> CheckResult:
     name = f"denominator convolution of the series returns the numerator, order <= {nmax}, k <= {kmax}"
     for k in range(kmax + 1):
-        residuals = descent_gf(k).convolution_residual(nmax)
+        closed = [descent_poly_by_closed_form(n, k).poly for n in range(nmax + 1)]
+        residuals = descent_gf(k).convolution_residual(closed)
         for n, r in enumerate(residuals):
             if not r.is_zero():
                 return _fail(name, f"k={k} z^{n}: residual {r.pretty('y')}")

@@ -39,3 +39,35 @@ def bounded_drop_census(n: int, k: int) -> list[int]:
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def bubble_pass(w: tuple) -> tuple:
+    """One bubble pass by its split-at-maximum definition: pass over the
+    part left of the maximum, then the part right of it, then the maximum."""
+    if not w:
+        return w
+    m = w.index(max(w))
+    return bubble_pass(w[:m]) + w[m + 1 :] + (w[m],)
+
+
+def stack_pass(w: tuple) -> tuple:
+    """One stack pass: both sides of the maximum, each passed, then the
+    maximum."""
+    if not w:
+        return w
+    m = w.index(max(w))
+    return stack_pass(w[:m]) + stack_pass(w[m + 1 :]) + (w[m],)
+
+
+def remove_ball_word(seg: tuple) -> tuple:
+    """Ball removal as the mirror of ``bubble_pass``: the latest-landing throw
+    moves to the end of the segment, shortened by the segment length plus
+    one; a tie for the latest landing raises ``ValueError``."""
+    if not seg:
+        return seg
+    landings = [t + i + 1 for i, t in enumerate(seg)]
+    top = max(landings)
+    if landings.count(top) > 1:
+        raise ValueError(f"ambiguous latest landing in {seg}")
+    j = landings.index(top)
+    return remove_ball_word(seg[:j]) + seg[j + 1 :] + (top - len(seg) - 1,)

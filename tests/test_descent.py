@@ -6,6 +6,7 @@ import pytest
 
 from descpoly.descent import (
     CapExceeded,
+    _kernel_sum,
     descent_poly,
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
@@ -17,7 +18,7 @@ from descpoly.descent import (
     stretched_kernel_poly,
 )
 from descpoly.eulerian import eulerian_poly
-from descpoly.polynomial import IntPoly, geometric
+from descpoly.polynomial import IntPoly, NegativeExponentResidue, geometric
 
 from oracles import bounded_drop_census
 
@@ -97,6 +98,12 @@ def test_kernel_poly_small():
     assert kernel_poly(2) == IntPoly((1, 1, 2, 1, 1))
     assert kernel_poly(3).coeffs == P3
     assert kernel_poly(4).coeffs == P4
+
+
+def test_kernel_sum_negative_residue_raises():
+    # below modulus k+1 the negative powers of the defining sum do not cancel
+    with pytest.raises(NegativeExponentResidue):
+        _kernel_sum(2, 1)
 
 
 def test_stretch_examples():

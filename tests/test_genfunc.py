@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from descpoly.descent import descent_poly_by_recurrence
+from descpoly import verify
+from descpoly.descent import descent_poly_by_closed_form, descent_poly_by_recurrence
 from descpoly.genfunc import descent_gf
 from descpoly.polynomial import IntPoly
 
@@ -52,5 +55,26 @@ def test_series_matches_recurrence(k):
 
 @pytest.mark.parametrize("k", range(6))
 def test_convolution_residual_is_zero(k):
-    for r in descent_gf(k).convolution_residual(12):
+    closed = [descent_poly_by_closed_form(n, k).poly for n in range(13)]
+    for r in descent_gf(k).convolution_residual(closed):
         assert r.is_zero()
+
+
+def test_convolution_residual_detects_a_perturbed_sequence():
+    closed = [descent_poly_by_closed_form(n, 2).poly for n in range(8)]
+    closed[5] = closed[5] + IntPoly((0, 1))
+    residuals = descent_gf(2).convolution_residual(closed)
+    assert all(r.is_zero() for r in residuals[:5])
+    assert residuals[5] == IntPoly((0, 1))
+    assert not any(r.is_zero() for r in residuals[6:])
+
+
+def test_gf_convolution_check_can_fail(monkeypatch):
+    def perturbed(n, k):
+        r = descent_poly_by_closed_form(n, k)
+        return replace(r, poly=r.poly + IntPoly((0, 1))) if n == 4 else r
+
+    monkeypatch.setattr(verify, "descent_poly_by_closed_form", perturbed)
+    result = verify.check_gf_convolution(6, 2)
+    assert not result.ok
+    assert result.detail.startswith("k=0 z^4")

@@ -1,12 +1,19 @@
+import random
+from itertools import permutations
+
 import pytest
 
+from descpoly.cli import main
 from descpoly.juggling import (
     DropExceedsK,
     JugglingSequence,
+    _remove_ball_word,
     remove_ball,
     throw_sequence,
 )
-from descpoly.permutation import Permutation, enumerate_bounded_drop
+from descpoly.permutation import Permutation, _bsort_word, enumerate_bounded_drop
+
+from oracles import remove_ball_word
 
 
 def test_constructor_validates():
@@ -71,11 +78,40 @@ def test_remove_ball_rejects_invalid_sequence():
 
 def test_remove_ball_tie_guard():
     # distinct landings are forced for valid sequences, so the ambiguity
-    # guard only fires on raw words
-    from descpoly.juggling import _remove_ball_word
-
+    # guard only fires on raw words: (2, 1) lands at 3 and 3
+    with pytest.raises(ValueError):
+        _bsort_word((3, 3))
     with pytest.raises(ValueError):
         _remove_ball_word((2, 1))
+
+
+def test_remove_ball_matches_split_at_maximum_definition():
+    for n in range(1, 9):
+        for vals in permutations(range(1, n + 1)):
+            p = Permutation(vals)
+            T = throw_sequence(p, max(p.maxdrop(), 1))
+            assert remove_ball(T).throws == remove_ball_word(T.throws), vals
+
+
+def test_remove_ball_word_raises_exactly_as_the_definition_does():
+    rng = random.Random(7)
+    for _ in range(5000):
+        word = tuple(rng.randrange(6) for _ in range(rng.randrange(1, 7)))
+        try:
+            want = remove_ball_word(word)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _remove_ball_word(word)
+        else:
+            assert _remove_ball_word(word) == want, word
+
+
+def test_remove_ball_at_large_n(capsys):
+    n = 10**4
+    p = Permutation(v for i in range(1, n, 2) for v in (i + 1, i))
+    assert remove_ball(throw_sequence(p, 1)) == throw_sequence(Permutation.identity(n), 0)
+    assert main(["juggle", "--perm", ",".join(map(str, p.values)), "--k", "1"]) == 0
+    assert capsys.readouterr().out.endswith("bubble crosscheck: ok\n")
 
 
 def test_remove_ball_outside_contract_raises():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descpoly import permutation
 from descpoly.permutation import (
     DescentSetSpec,
     Permutation,
@@ -16,7 +17,7 @@ from descpoly.permutation import (
     unstandardize,
 )
 
-from oracles import bounded_drop_by_filter
+from oracles import bounded_drop_by_filter, bubble_pass, stack_pass
 
 
 def test_constructor_rejects_non_permutations():
@@ -84,6 +85,31 @@ def test_stack_sort_at_least_as_fast(n):
         for _ in range(p.bsc()):
             q = q.ssort()
         assert q == ident
+
+
+def test_passes_match_split_at_maximum_definitions():
+    for n in range(9):
+        for vals in permutations(range(1, n + 1)):
+            p = Permutation(vals)
+            assert p.bsort().values == bubble_pass(vals), vals
+            assert p.ssort().values == stack_pass(vals), vals
+
+
+def test_passes_are_not_recursive_at_large_n():
+    # maxdrop 1: swap each adjacent pair, so one bubble pass sorts it
+    n = 10**4
+    p = Permutation(v for i in range(1, n, 2) for v in (i + 1, i))
+    assert p.maxdrop() == 1
+    assert p.bsort() == Permutation.identity(n)
+    assert p.ssort() == Permutation.identity(n)
+    assert p.bsc() == 1
+
+
+def test_bsc_termination_guard(monkeypatch):
+    # a pass that sorts nothing must end in an exception, not a loop
+    monkeypatch.setattr(permutation, "_bsort_word", lambda w: w)
+    with pytest.raises(RuntimeError):
+        Permutation((2, 1)).bsc()
 
 
 def test_standardize():

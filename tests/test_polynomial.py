@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descpoly.polynomial import IntPoly, LaurentPoly, NegativeExponentResidue, geometric
+from descpoly.polynomial import IntPoly, geometric
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
-small_laurents = st.tuples(
-    st.lists(st.integers(-9, 9), max_size=6), st.integers(-4, 4)
-).map(lambda t: LaurentPoly(t[0], t[1]))
 
 
 def test_normalization_trims_trailing_zeros():
@@ -130,49 +127,3 @@ def test_reverse_is_involutive(p, d):
 @given(st.integers(0, 30))
 def test_geometric_at_one(k):
     assert geometric(k).evaluate(1) == k + 1
-
-
-def test_laurent_basics():
-    u_inv = LaurentPoly.term(1, -1)
-    u = LaurentPoly.term(1, 1)
-    assert u_inv * u == LaurentPoly.term(1, 0)
-    assert u_inv * u == LaurentPoly((1,))
-
-
-def test_laurent_hand_trace_to_poly():
-    # u - u^-1 + 1 + u^-1  ->  1 + u
-    total = (
-        LaurentPoly.term(1, 1)
-        - LaurentPoly.term(1, -1)
-        + LaurentPoly.term(1, 0)
-        + LaurentPoly.term(1, -1)
-    )
-    assert total.to_poly() == IntPoly((1, 1))
-
-
-def test_laurent_negative_residue_raises():
-    with pytest.raises(NegativeExponentResidue):
-        LaurentPoly.term(1, -1).to_poly()
-
-
-def test_laurent_from_poly_round_trip():
-    p = IntPoly((3, 0, -1))
-    assert LaurentPoly.from_poly(p).to_poly() == p
-
-
-@given(small_laurents, small_laurents)
-def test_laurent_add_commutes(a, b):
-    assert a + b == b + a
-
-
-@given(small_laurents, small_laurents, small_laurents)
-def test_laurent_mul_distributes(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
-@given(small_laurents)
-def test_laurent_normalization(a):
-    if not a.is_zero():
-        assert a.coeffs[0] != 0 and a.coeffs[-1] != 0
-    else:
-        assert a.min_exp == 0
