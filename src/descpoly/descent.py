@@ -16,6 +16,7 @@ from functools import cache
 from math import comb
 
 from .eulerian import eulerian_poly
+from .genfunc import descent_gf
 from .permutation import bounded_drop_words
 from .polynomial import IntPoly, NegativeExponentResidue, geometric
 
@@ -52,36 +53,15 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> DescentPolyRes
     return DescentPolyResult(n, k, IntPoly(counts), "enumeration")
 
 
-@cache
-def _recurrence_weights(k: int) -> tuple[IntPoly, ...]:
-    ym1 = IntPoly((-1, 1))
-    return tuple(comb(k + 1, i) * ym1 ** (i - 1) for i in range(1, k + 2))
-
-
-@cache
-def _recurrence_prefix(k: int, n: int) -> tuple[IntPoly, ...]:
-    # descent polynomials for 0..n at fixed k; Eulerian up to index k, then
-    # the order-(k+1) linear recurrence
-    if n <= k:
-        return tuple(eulerian_poly(i) for i in range(n + 1))
-    prev = _recurrence_prefix(k, n - 1)
-    weights = _recurrence_weights(k)
-    acc = IntPoly()
-    for i in range(1, k + 2):
-        acc = acc + weights[i - 1] * prev[n - i]
-    return prev + (acc,)
-
-
 def descent_poly_by_recurrence(n: int, k: int) -> DescentPolyResult:
     """Descent polynomial through the tail-peeling recurrence with Eulerian
-    initial conditions."""
+    initial conditions: the generating function's (memoised) series for
+    n > k, where the drop bound bites."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if n <= k:
         return DescentPolyResult(n, k, eulerian_poly(n), "recurrence")
-    for m in range(k + 1, n):  # warm the cache without deep recursion
-        _recurrence_prefix(k, m)
-    return DescentPolyResult(n, k, _recurrence_prefix(k, n)[n], "recurrence")
+    return DescentPolyResult(n, k, descent_gf(k).series(n)[n], "recurrence")
 
 
 def _kernel_sum(k: int, mod: int) -> IntPoly:

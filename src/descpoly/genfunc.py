@@ -3,13 +3,15 @@ fixed drop bound, and exact extraction of its series coefficients.
 
 The function is a ratio of two polynomials in z whose coefficients are
 integer polynomials in y.  Both constant terms are 1, so the series follows
-from the denominator-induced linear recurrence with no division.
+from the denominator-induced linear recurrence with no division; that is
+the tail-peeling recurrence, and the recurrence route reads its terms here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .eulerian import eulerian_poly
@@ -19,26 +21,32 @@ from .polynomial import IntPoly
 @dataclass(frozen=True, slots=True)
 class RationalBivariateGF:
     """Numerator and denominator, each a tuple of y-polynomials indexed by
-    the power of z."""
+    the power of z; series terms computed so far are memoised in ``_terms``,
+    which ``dataclasses.replace`` starts empty."""
 
     k: int
     numerator: tuple[IntPoly, ...]
     denominator: tuple[IntPoly, ...]
+    _terms: tuple[IntPoly, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def series(self, upto: int) -> list[IntPoly]:
-        """Series coefficients of z^0 .. z^upto, each a polynomial in y.
+        """Series coefficients of z^0 .. z^upto, each a polynomial in y, as a
+        fresh list.
 
         The result at index n is the descent polynomial for (n, k).
         """
         if upto < 0:
             raise ValueError("order must be nonnegative")
-        out: list[IntPoly] = []
-        for n in range(upto + 1):
-            acc = self.numerator[n] if n < len(self.numerator) else IntPoly()
-            for i in range(1, min(n, self.k + 1) + 1):
-                acc = acc - self.denominator[i] * out[n - i]
-            out.append(acc)
-        return out
+        out = list(self._terms)  # published below by one reference swap
+        if len(out) <= upto:
+            weights = [-d for d in self.denominator]
+            for n in range(len(out), upto + 1):
+                acc = self.numerator[n] if n < len(self.numerator) else IntPoly()
+                for i in range(1, min(n, self.k + 1) + 1):
+                    acc = acc + weights[i] * out[n - i]
+                out.append(acc)
+            object.__setattr__(self, "_terms", tuple(out))
+        return out[: upto + 1]
 
     def convolution_residual(self, seq: Sequence[IntPoly]) -> list[IntPoly]:
         """Cauchy convolution of the denominator with ``seq`` minus the
@@ -55,23 +63,22 @@ class RationalBivariateGF:
         return residuals
 
 
+@cache
 def descent_gf(k: int) -> RationalBivariateGF:
-    """Build the generating function for drop bound k.
+    """The generating function for drop bound k, one shared instance per k.
 
-    The denominator is 1 minus the recurrence weights attached to powers of
-    z; the numerator corrects the first k coefficients to the Eulerian
-    initial conditions.
+    The denominator is 1 minus the recurrence weights C(k+1, i) (y-1)^(i-1)
+    on z^i; the numerator is the denominator times the Eulerian initial
+    conditions, truncated after z^k.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     ym1 = IntPoly((-1, 1))
     den = [IntPoly((1,))]
     for i in range(1, k + 2):
-        den.append(IntPoly() - comb(k + 1, i) * ym1 ** (i - 1))
-    num = [IntPoly((1,))]
-    for t in range(1, k + 1):
-        acc = eulerian_poly(t)
-        for i in range(1, t + 1):
-            acc = acc - comb(k + 1, i) * ym1 ** (i - 1) * eulerian_poly(t - i)
-        num.append(acc)
+        den.append(-(comb(k + 1, i) * ym1 ** (i - 1)))
+    num = [
+        sum((den[i] * eulerian_poly(t - i) for i in range(t + 1)), IntPoly())
+        for t in range(k + 1)
+    ]
     return RationalBivariateGF(k, tuple(num), tuple(den))

@@ -9,6 +9,7 @@ reports a low coefficient that should have cancelled but did not.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import index
 
 
 class NegativeExponentResidue(ValueError):
@@ -30,7 +31,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = list(map(index, coeffs))  # TypeError on a non-integer
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -56,6 +57,8 @@ class IntPoly:
     def __add__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
             other = IntPoly((other,))
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -70,6 +73,8 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
+        if not isinstance(other, (int, IntPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> IntPoly:
@@ -78,6 +83,8 @@ class IntPoly:
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

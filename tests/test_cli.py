@@ -186,6 +186,17 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--suite", "routes", "--kmax", "-1"), ("--nmax", "-1")],
+)
+def test_verify_negative_bound_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nmax and kmax must be nonnegative")
+
+
 def test_bad_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "table", "--n", "5:2", "--k", "1")
     assert code == 2

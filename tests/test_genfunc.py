@@ -1,10 +1,12 @@
+import sys
 from dataclasses import replace
+from threading import Barrier, Thread
 
 import pytest
 
 from descpoly import verify
 from descpoly.descent import descent_poly_by_closed_form, descent_poly_by_recurrence
-from descpoly.genfunc import descent_gf
+from descpoly.genfunc import RationalBivariateGF, descent_gf
 from descpoly.polynomial import IntPoly
 
 
@@ -48,9 +50,12 @@ def test_series_examples():
 
 @pytest.mark.parametrize("k", range(6))
 def test_series_matches_recurrence(k):
+    # the recurrence route reads this series, so the closed form is the
+    # independent reference
     series = descent_gf(k).series(12)
     for n in range(13):
-        assert series[n] == descent_poly_by_recurrence(n, k).poly, (n, k)
+        want = descent_poly_by_closed_form(n, k).poly
+        assert series[n] == want == descent_poly_by_recurrence(n, k).poly, (n, k)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -78,3 +83,72 @@ def test_gf_convolution_check_can_fail(monkeypatch):
     result = verify.check_gf_convolution(6, 2)
     assert not result.ok
     assert result.detail.startswith("k=0 z^4")
+
+
+def test_gf_series_check_can_fail(monkeypatch):
+    def perturbed(n, k):
+        r = descent_poly_by_closed_form(n, k)
+        return replace(r, poly=r.poly + IntPoly((0, 1))) if n == 4 else r
+
+    monkeypatch.setattr(verify, "descent_poly_by_closed_form", perturbed)
+    result = verify.check_gf_series(6, 2)
+    assert not result.ok
+    assert result.detail.startswith("n=4 k=0")
+
+
+def _cold(k):
+    gf = descent_gf(k)
+    return RationalBivariateGF(k, gf.numerator, gf.denominator)
+
+
+def test_series_memo_serves_shorter_and_longer_orders():
+    gf = _cold(3)
+    for upto in (40, 5, 60):
+        assert gf.series(upto) == _cold(3).series(upto)
+    assert gf.series(60)[60] == descent_poly_by_closed_form(60, 3).poly
+
+
+def test_series_returns_a_fresh_list():
+    gf = descent_gf(2)
+    first = gf.series(10)
+    want = list(first)
+    first[3] = IntPoly((99,))
+    first.append(IntPoly((7,)))
+    assert gf.series(10) == want
+
+
+def test_replace_starts_an_empty_memo():
+    gf = descent_gf(2)
+    gf.series(30)
+    doubled = replace(gf, numerator=tuple(2 * p for p in gf.numerator))
+    assert doubled.series(30) == [2 * p for p in gf.series(30)]
+    assert gf.series(30) == _cold(2).series(30)
+
+
+def test_series_from_concurrent_threads():
+    # more threads than cores and a short switch interval, so the threads
+    # interleave inside series; a torn memo would give a wrong term
+    orders = (120, 40, 160, 80)
+    want = {n: _cold(3).series(n) for n in orders}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            descent_gf.cache_clear()
+            start = Barrier(len(orders))
+            got = {}
+
+            def work(n):
+                start.wait(timeout=30)
+                got[n] = descent_gf(3).series(n)
+
+            threads = [Thread(target=work, args=(n,)) for n in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            assert descent_gf(3).series(160) == want[160]
+    finally:
+        sys.setswitchinterval(interval)

@@ -15,6 +15,33 @@ def test_normalization_trims_trailing_zeros():
     assert IntPoly().is_zero()
 
 
+def test_non_integer_coefficients_rejected():
+    with pytest.raises(TypeError):
+        IntPoly((1.5, 2))
+    with pytest.raises(TypeError):
+        IntPoly((1, 2.0))
+    with pytest.raises(TypeError):
+        IntPoly(["1"])
+    assert IntPoly((True, 2)).coeffs == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: p * 1.5,
+        lambda p: 1.5 * p,
+        lambda p: p + "a",
+        lambda p: "a" + p,
+        lambda p: p - 1.5,
+        lambda p: 1.5 - p,
+    ],
+    ids=["mul", "rmul", "add", "radd", "sub", "rsub"],
+)
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op(IntPoly((1, 2)))
+
+
 def test_degree_sentinel():
     assert IntPoly().degree is None
     assert IntPoly((7,)).degree == 0
