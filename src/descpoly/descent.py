@@ -150,8 +150,11 @@ def kernel_poly_by_duplication(k: int) -> IntPoly:
 def descent_poly_by_closed_form(n: int, k: int) -> DescentPolyResult:
     """Every (k+1)-th coefficient of the kernel times the geometric power.
 
-    For n < k the drop bound is vacuous and the Eulerian polynomial is
-    returned directly, avoiding a negative geometric exponent.
+    The power comes from J.C.P. Miller's recurrence (``IntPoly.__pow__``) in
+    O(k^2 n) coefficient ops, and its product with the degree-k^2 kernel
+    makes the route O(k^3 n): this is the route for large n.  For n < k the
+    drop bound is vacuous and the Eulerian polynomial is returned directly,
+    avoiding a negative geometric exponent.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")

@@ -97,16 +97,36 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> IntPoly:
+        """Exact power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2
+        §4.7): with ``self = u^v * q`` and ``q_0 != 0``, the coefficients of
+        ``q^e`` satisfy ``j q_0 c_j = sum_{i>=1} ((e+1) i - j) q_i c_{j-i}``
+        from ``c_0 = q_0^e``.  Each division by ``j q_0`` is exact, and a
+        remainder raises ``ArithmeticError``.  The sum runs over the nonzero
+        ``q_i`` only, so a power costs O(t * deg(q) * e) coefficient ops for
+        t nonzero terms.
+
+        >>> IntPoly((0, 1, -1)) ** 2
+        IntPoly((0, 0, 1, -2, 1))
+        """
+        e = index(e)
         if e < 0:
             raise ValueError("negative exponent")
-        result = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return IntPoly((1,))
+        if self.is_zero():
+            return self
+        v = next(i for i, c in enumerate(self.coeffs) if c)
+        q = self.coeffs[v:]
+        m = len(q) - 1
+        terms = [(i, qi, (e + 1) * i * qi) for i, qi in enumerate(q) if i and qi]
+        c = [0] * m + [q[0] ** e]  # m zeros stand in for c_{-m} .. c_{-1}
+        for j in range(1, m * e + 1):
+            # c[-i] is c_{j-i}: c_0 .. c_{j-1} are the last j entries
+            cj, r = divmod(sum((w - j * qi) * c[-i] for i, qi, w in terms), j * q[0])
+            if r:
+                raise ArithmeticError(f"inexact division at coefficient {j} of a power")
+            c.append(cj)
+        return IntPoly([0] * (v * e) + c[m:])
 
     def substitute_power(self, m: int) -> IntPoly:
         """Return p(u^m): coefficient ``j`` of p lands on power ``m*j``."""
@@ -175,10 +195,20 @@ class IntPoly:
         return " ".join(parts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        """An ``int`` compares as a constant polynomial, as in ``+``.
+
+        >>> IntPoly((3,)) == 3, IntPoly() == 0
+        (True, True)
+        """
+        if isinstance(other, int):
+            other = IntPoly((other,))
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # equal values hash alike: a constant polynomial hashes like its int
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coefficient(0))
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"

@@ -1,5 +1,5 @@
 import json
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -78,6 +78,21 @@ def test_binomial_row():
         poly = descent_poly_by_closed_form(n, 1).poly
         for d in range(n):
             assert poly.coefficient(d) == comb(n, 2 * d)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_closed_form_total_far_past_enumeration(k):
+    assert descent_poly_by_closed_form(2000, k).total() == factorial(k) * (k + 1) ** (2000 - k)
+
+
+def test_binomial_row_far_past_enumeration():
+    poly = descent_poly_by_closed_form(2000, 1).poly
+    assert poly.coeffs == tuple(comb(2000, 2 * d) for d in range(1001))
+
+
+@pytest.mark.parametrize(("n", "k"), [(300, 10), (1000, 3)])
+def test_closed_form_matches_recurrence_far_past_enumeration(n, k):
+    assert descent_poly_by_closed_form(n, k).poly == descent_poly_by_recurrence(n, k).poly
 
 
 def test_result_metadata():

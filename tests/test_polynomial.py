@@ -1,4 +1,6 @@
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -42,6 +44,30 @@ def test_foreign_operands_raise_type_error(op):
         op(IntPoly((1, 2)))
 
 
+def test_int_compares_as_constant_polynomial():
+    assert IntPoly((3,)) == 3
+    assert 3 == IntPoly((3,))
+    assert IntPoly() == 0
+    assert 0 == IntPoly()
+    assert IntPoly((-7,)) == -7
+    assert IntPoly((3,)) != 4
+    assert IntPoly((3, 1)) != 3
+    assert 3 != IntPoly((0, 3))
+    assert IntPoly() != 1
+    assert IntPoly((1,)) != "1"
+    assert IntPoly((1,)) != 1.0
+    assert IntPoly((1,)).__eq__(1.0) is NotImplemented
+
+
+def test_hash_agrees_with_int_equality():
+    assert hash(IntPoly((3,))) == hash(3)
+    assert hash(IntPoly((-1,))) == hash(-1)
+    assert hash(IntPoly()) == hash(0)
+    assert hash(IntPoly((2**100,))) == hash(2**100)
+    assert {IntPoly((3,)): "p"}[3] == "p"
+    assert len({0, IntPoly(), 5, IntPoly((5,)), IntPoly((5, 1))}) == 3
+
+
 def test_degree_sentinel():
     assert IntPoly().degree is None
     assert IntPoly((7,)).degree == 0
@@ -67,6 +93,42 @@ def test_pow_matches_binomial_theorem():
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         IntPoly((1, 1)) ** -1
+
+
+def test_pow_zero_constant_term():
+    # (u^2 (2 + u))^5 = u^10 (2 + u)^5
+    expected = (0,) * 10 + tuple(comb(5, j) * 2 ** (5 - j) for j in range(6))
+    assert (IntPoly((0, 0, 2, 1)) ** 5).coeffs == expected
+
+
+def test_pow_negative_terms():
+    # (3 - u^2)^4: negative leading term; (-2 + u)^6: negative constant term
+    assert (IntPoly((3, 0, -1)) ** 4).coeffs == tuple(
+        comb(4, j // 2) * 3 ** (4 - j // 2) * (-1) ** (j // 2) if j % 2 == 0 else 0
+        for j in range(9)
+    )
+    assert (IntPoly((-2, 1)) ** 6).coeffs == tuple(comb(6, j) * (-2) ** (6 - j) for j in range(7))
+
+
+def test_pow_sparse_base():
+    # (u^5 - 1)^7: only multiples of u^5 survive
+    expected = [0] * 36
+    for j in range(8):
+        expected[5 * j] = comb(7, j) * (-1) ** (7 - j)
+    assert (IntPoly((-1, 0, 0, 0, 0, 1)) ** 7).coeffs == tuple(expected)
+
+
+def test_pow_edge_exponents():
+    assert IntPoly() ** 0 == IntPoly((1,))
+    assert IntPoly((0, 5, -3)) ** 0 == IntPoly((1,))
+    assert IntPoly() ** 3 == IntPoly()
+    p = IntPoly((0, 3, 0, -2, 7))
+    assert p ** 1 == p
+
+
+@given(st.lists(st.integers(-5, 5), max_size=6).map(IntPoly), st.integers(0, 10))
+def test_pow_is_repeated_product(p, e):
+    assert p**e == reduce(mul, [p] * e, IntPoly((1,)))
 
 
 def test_geometric():
