@@ -2,9 +2,11 @@
 polynomials, generating functions, siteswap transforms, and the verification
 suites.
 
-Exit codes: 0 success, 1 verification or cross-check failure, 2 usage or
-parse error.  All JSON coefficient arrays carry integers as decimal strings
-so arbitrarily large values survive a round trip.
+Each subcommand computes its results once, into a :class:`Record`, and
+:func:`emit` prints the one format asked for.  Exit codes: 0 success, 1
+verification or cross-check failure (named in one line on stderr), 2 usage
+or parse error.  All JSON coefficient arrays carry integers as decimal
+strings so arbitrarily large values survive a round trip.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterable, Sequence
+from itertools import chain
+from typing import NamedTuple
 
 from .descent import (
-    CapExceeded,
     descent_poly,
     kernel_poly,
     kernel_poly_by_duplication,
@@ -24,263 +28,209 @@ from .descent import (
     stretched_kernel_poly,
 )
 from .genfunc import descent_gf
-from .juggling import DropExceedsK, remove_ball, throw_sequence
+from .juggling import remove_ball, throw_sequence
 from .permutation import Permutation
 from .polynomial import IntPoly
-from .verify import run_suite
+from .verify import CheckResult, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _coeff_strings(p: IntPoly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+class Record(NamedTuple):
+    """One subcommand's results, ready for any format.  ``rows`` (CSV) and
+    ``lines`` (plain) are lazy iterators, so a format that is not asked for
+    is never built; ``failure`` names a failed cross-check."""
+
+    doc: dict
+    header: list[str]
+    rows: Iterable[Sequence]
+    lines: Iterable[str]
+    failure: str | None = None
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _decimal_strings(obj: object) -> list[str]:
+    if isinstance(obj, IntPoly):
+        return [str(c) for c in obj.coeffs]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def emit(fmt: str, record: Record) -> int:
+    """Print ``record`` as plain text, JSON or CSV and return the exit code:
+    CHECK_FAILED, after one stderr line, when the record carries a failure."""
+    if fmt == "json":
+        print(json.dumps(record.doc, indent=2, sort_keys=True, default=_decimal_strings))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(record.header)
+        writer.writerows(record.rows)
+    else:
+        for line in record.lines:
+            print(line)
+    if record.failure is None:
+        return 0
+    print(record.failure, file=sys.stderr)
+    return CHECK_FAILED
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    a = int(lo)
-    b = int(hi) if hi else a
+    lo, colon, hi = text.partition(":")
+    a = int(lo or -1)  # an empty bound reads as -1, which the check rejects
+    b = int(hi or -1) if colon else a
     if a < 0 or b < a:
         raise ValueError(f"bad range {text!r}")
     return a, b
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Record:
     n_lo, n_hi = _parse_range(args.n)
     k = args.k
     cap = args.nmax if args.nmax is not None else 10
     routes = ["enum", "rec", "closed"] if args.route == "all" else [args.route]
-
+    header = ["n", "k", "r", "value"] + (["agree"] if args.route == "all" else [])
     rows = []
-    mismatch = None
+    failure = None
     for n in range(n_lo, n_hi + 1):
         polys = {route: descent_poly(n, k, route, cap=cap).poly for route in routes}
         agree = len({p.coeffs for p in polys.values()}) == 1
-        if not agree and mismatch is None:
-            mismatch = (n, k, {r: list(p.coeffs) for r, p in polys.items()})
+        if not agree and failure is None:
+            coeffs = {r: list(p.coeffs) for r, p in polys.items()}
+            failure = f"route disagreement at n={n} k={k}: {coeffs}"
         shown = polys[routes[0]]
-        width = max(len(shown.coeffs), 1)
-        for r in range(width):
-            row = {"n": n, "k": k, "r": r, "value": str(shown.coefficient(r))}
-            if args.route == "all":
-                row["agree"] = agree
-            rows.append(row)
+        for r in range(max(len(shown.coeffs), 1)):
+            # zip drops the agree flag when there is no agree column
+            rows.append(dict(zip(header, (n, k, r, str(shown.coefficient(r)), agree))))
 
-    if args.format == "json":
-        _emit_json({"command": "table", "route": args.route, "rows": rows})
-    elif args.format == "csv":
-        header = ["n", "k", "r", "value"] + (["agree"] if args.route == "all" else [])
-        _emit_csv(header, [[row[h] for h in header] for row in rows])
-    else:
-        header = "n k r value" + (" agree" if args.route == "all" else "")
-        print("# " + header)
-        for row in rows:
-            line = f"{row['n']} {row['k']} {row['r']} {row['value']}"
-            if args.route == "all":
-                line += f" {str(row['agree']).lower()}"
-            print(line)
-
-    if mismatch is not None:
-        n, k, polys = mismatch
-        print(f"route disagreement at n={n} k={k}: {polys}", file=sys.stderr)
-        return CHECK_FAILED
-    return 0
+    doc = {"command": "table", "route": args.route, "rows": rows}
+    cells = (list(row.values()) for row in rows)
+    plain = (" ".join(str(v).lower() for v in row.values()) for row in rows)
+    return Record(doc, header, cells, chain(["# " + " ".join(header)], plain), failure)
 
 
-def _poly_constructions(k: int, which: str, construction: str) -> dict[str, IntPoly]:
-    builders = {
-        "P": {
-            "formula": lambda: kernel_poly(k),
-            "stretch": lambda: kernel_poly_by_stretch(k),
-            "duplication": lambda: kernel_poly_by_duplication(k),
-        },
-        "PP": {
-            "formula": lambda: stretched_kernel_poly(k),
-            "stretch": lambda: stretch(kernel_poly(k), k),
-            "duplication": lambda: stretch(kernel_poly_by_duplication(k), k),
-        },
-    }[which]
-    if construction == "all":
-        names = ["formula"] if k == 0 else ["formula", "stretch", "duplication"]
-    else:
-        names = [construction]
-    return {name: builders[name]() for name in names}
+def _kernel(k: int, which: str, construction: str) -> IntPoly:
+    # PP by formula has a sum of its own; its other constructions stretch P,
+    # built by the formula ("stretch") or by duplication
+    if construction == "formula":
+        return kernel_poly(k) if which == "P" else stretched_kernel_poly(k)
+    if which == "PP":
+        base = kernel_poly(k) if construction == "stretch" else kernel_poly_by_duplication(k)
+        return stretch(base, k)
+    if construction == "stretch":
+        return kernel_poly_by_stretch(k)
+    return kernel_poly_by_duplication(k)
 
 
-def _cmd_poly(args: argparse.Namespace) -> int:
-    k = args.k
+def _cmd_poly(args: argparse.Namespace) -> Record:
+    k, which = args.k, args.which
     cap = args.kmax if args.kmax is not None else 8
     if k > cap:
-        print(f"k={k} exceeds cap {cap} (raise with --kmax)", file=sys.stderr)
-        return USAGE_ERROR
-    if k == 0 and args.construction in ("stretch", "duplication"):
-        print(f"construction {args.construction!r} needs k >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    built = _poly_constructions(k, args.which, args.construction)
+        raise ValueError(f"k={k} exceeds cap {cap} (raise with --kmax)")
+    if args.construction == "all":
+        names = ["formula"] if k == 0 else ["formula", "stretch", "duplication"]
+    elif k == 0 and args.construction != "formula":
+        raise ValueError(f"construction {args.construction!r} needs k >= 1")
+    else:
+        names = [args.construction]
+    built = {name: _kernel(k, which, name) for name in names}
     agree = len({p.coeffs for p in built.values()}) == 1
 
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "poly",
-                "k": k,
-                "which": args.which,
-                "constructions": {name: _coeff_strings(p) for name, p in built.items()},
-                "agree": agree,
-            }
-        )
-    elif args.format == "csv":
-        rows = []
-        for name in built:
-            for e, c in enumerate(built[name].coeffs):
-                rows.append([k, args.which, name, e, str(c)])
-        _emit_csv(["k", "which", "construction", "exponent", "coefficient"], rows)
-    else:
+    def lines():
         for name, p in built.items():
-            print(f"{args.which} k={k} [{name}]: {p.pretty('u')}")
-            print(f"  coeffs: {list(p.coeffs)}")
+            yield f"{which} k={k} [{name}]: {p.pretty('u')}"
+            yield f"  coeffs: {list(p.coeffs)}"
         if args.construction == "all":
-            print(f"agree: {str(agree).lower()}")
+            yield f"agree: {str(agree).lower()}"
 
-    if not agree:
-        print(
-            f"construction disagreement for {args.which} at k={k}: "
-            f"{ {name: list(p.coeffs) for name, p in built.items()} }",
-            file=sys.stderr,
-        )
-        return CHECK_FAILED
-    return 0
+    doc = {"command": "poly", "k": k, "which": which, "constructions": built, "agree": agree}
+    header = ["k", "which", "construction", "exponent", "coefficient"]
+    cells = ([k, which, name, e, c] for name, p in built.items() for e, c in enumerate(p.coeffs))
+    coeffs = {name: list(p.coeffs) for name, p in built.items()}
+    failure = None if agree else f"construction disagreement for {which} at k={k}: {coeffs}"
+    return Record(doc, header, cells, lines(), failure)
 
 
-def _cmd_gf(args: argparse.Namespace) -> int:
+def _cmd_gf(args: argparse.Namespace) -> Record:
     gf = descent_gf(args.k)
-    series = gf.series(args.order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "gf",
-                "k": args.k,
-                "order": args.order,
-                "numerator": [_coeff_strings(p) for p in gf.numerator],
-                "denominator": [_coeff_strings(p) for p in gf.denominator],
-                "series": [_coeff_strings(p) for p in series],
-            }
-        )
-    elif args.format == "csv":
-        rows = []
-        for part, polys in (
-            ("numerator", gf.numerator),
-            ("denominator", gf.denominator),
-            ("series", series),
-        ):
-            for zpow, p in enumerate(polys):
-                for ypow, c in enumerate(p.coeffs):
-                    rows.append([part, zpow, ypow, str(c)])
-        _emit_csv(["part", "zpow", "ypow", "value"], rows)
-    else:
-        print(f"# generating function, k={args.k}")
-        for zpow, p in enumerate(gf.numerator):
-            print(f"numerator z^{zpow}: {p.pretty('y')}")
-        for zpow, p in enumerate(gf.denominator):
-            print(f"denominator z^{zpow}: {p.pretty('y')}")
-        for n, p in enumerate(series):
-            print(f"series z^{n}: {p.pretty('y')}")
-    return 0
+    parts = dict(numerator=gf.numerator, denominator=gf.denominator, series=gf.series(args.order))
+    terms = [(part, zpow, p) for part, polys in parts.items() for zpow, p in enumerate(polys)]
+    doc = {"command": "gf", "k": args.k, "order": args.order, **parts}
+    header = ["part", "zpow", "ypow", "value"]
+    cells = ([part, zpow, ypow, c] for part, zpow, p in terms for ypow, c in enumerate(p.coeffs))
+    plain = (f"{part} z^{zpow}: {p.pretty('y')}" for part, zpow, p in terms)
+    return Record(doc, header, cells, chain([f"# generating function, k={args.k}"], plain))
 
 
-def _cmd_juggle(args: argparse.Namespace) -> int:
+def _spaced(values: Iterable[int]) -> str:
+    return " ".join(map(str, values))
+
+
+def _cmd_juggle(args: argparse.Namespace) -> Record:
     values = tuple(int(s) for s in args.perm.split(","))
     p = Permutation(values)
     T = throw_sequence(p, args.k)
-    balls = T.ball_count()
-    reduced = None
-    crosscheck = "n/a"
+    valid, balls = T.is_valid(), T.ball_count()
+    reduced = expected = None
     if balls >= 1:
         reduced = remove_ball(T)
         expected = throw_sequence(p.bsort(), args.k - 1)
-        crosscheck = "ok" if reduced == expected else "mismatch"
+    crosscheck = "n/a" if reduced is None else "ok" if reduced == expected else "mismatch"
 
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "juggle",
-                "perm": list(values),
-                "k": args.k,
-                "throws": list(T.throws),
-                "valid": T.is_valid(),
-                "balls": balls,
-                "reduced": list(reduced.throws) if reduced else None,
-                "crosscheck": crosscheck,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"],
-            [
-                [
-                    " ".join(map(str, values)),
-                    args.k,
-                    " ".join(map(str, T.throws)),
-                    T.is_valid(),
-                    balls,
-                    " ".join(map(str, reduced.throws)) if reduced else "",
-                    crosscheck,
-                ]
-            ],
-        )
-    else:
-        print(f"perm: {values}")
-        print(f"throws: {T.throws}")
-        print(f"valid: {str(T.is_valid()).lower()}")
-        print(f"balls: {balls}")
+    def cells():
+        removed = _spaced(reduced.throws) if reduced else ""
+        yield [_spaced(values), args.k, _spaced(T.throws), valid, balls, removed, crosscheck]
+
+    def lines():
+        yield f"perm: {values}"
+        yield f"throws: {T.throws}"
+        yield f"valid: {str(valid).lower()}"
+        yield f"balls: {balls}"
         if reduced is not None:
-            print(f"one ball removed: {reduced.throws}")
-        print(f"bubble crosscheck: {crosscheck}")
+            yield f"one ball removed: {reduced.throws}"
+        yield f"bubble crosscheck: {crosscheck}"
 
-    return 0 if crosscheck in ("ok", "n/a") else CHECK_FAILED
+    doc = {
+        "command": "juggle",
+        "perm": values,
+        "k": args.k,
+        "throws": T.throws,
+        "valid": valid,
+        "balls": balls,
+        "reduced": reduced.throws if reduced else None,
+        "crosscheck": crosscheck,
+    }
+    header = ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"]
+    failure = None
+    if crosscheck == "mismatch":
+        failure = (
+            f"bubble crosscheck: mismatch: one ball removed gives {reduced.throws}, "
+            f"the bubble-sorted permutation encodes {expected.throws}"
+        )
+    return Record(doc, header, cells(), lines(), failure)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _verdict(r: CheckResult) -> str:
+    return ("PASS " if r.ok else "FAIL ") + r.name + (f": {r.detail}" if r.detail else "")
+
+
+def _cmd_verify(args: argparse.Namespace) -> Record:
     nmax = args.nmax if args.nmax is not None else 7
     kmax = args.kmax if args.kmax is not None else 7
     results = run_suite(args.suite, nmax, kmax)
-    ok = all(r.ok for r in results)
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "suite": args.suite,
-                "nmax": nmax,
-                "kmax": kmax,
-                "results": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-                ],
-                "ok": ok,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["suite", "name", "ok", "detail"],
-            [[args.suite, r.name, r.ok, r.detail] for r in results],
-        )
-    else:
-        for r in results:
-            print(("PASS " if r.ok else "FAIL ") + r.name + (f": {r.detail}" if r.detail else ""))
-        passed = sum(r.ok for r in results)
-        print(f"# {passed}/{len(results)} checks passed (nmax={nmax}, kmax={kmax})")
-    return 0 if ok else CHECK_FAILED
+    failed = [r for r in results if not r.ok]
+    doc = {
+        "command": "verify",
+        "suite": args.suite,
+        "nmax": nmax,
+        "kmax": kmax,
+        "results": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+        "ok": not failed,
+    }
+    cells = ([args.suite, r.name, r.ok, r.detail] for r in results)
+    passed = len(results) - len(failed)
+    summary = f"# {passed}/{len(results)} checks passed (nmax={nmax}, kmax={kmax})"
+    plain = chain(map(_verdict, results), [summary])
+    failure = _verdict(failed[0]) if failed else None
+    return Record(doc, ["suite", "name", "ok", "detail"], cells, plain, failure)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, CapExceeded, DropExceedsK) as exc:
+        record = args.func(args)
+    except ValueError as exc:  # CapExceeded and DropExceedsK included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return emit(args.format, record)
 
 
 if __name__ == "__main__":

@@ -70,6 +70,9 @@ def descent_gf(k: int) -> RationalBivariateGF:
     The denominator is 1 minus the recurrence weights C(k+1, i) (y-1)^(i-1)
     on z^i; the numerator is the denominator times the Eulerian initial
     conditions, truncated after z^k.
+
+    >>> [p.coeffs for p in descent_gf(1).series(3)]
+    [(1,), (1,), (1, 1), (1, 3)]
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

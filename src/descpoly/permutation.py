@@ -279,9 +279,10 @@ def count_descent_superset(spec: DescentSetSpec, k: int, method: str = "recurren
     positions of ``spec``.
 
     ``method="recurrence"`` peels the forced tail and multiplies by the
-    binomial number of admissible tail sets; the step is valid only while
-    n >= k+1, below which the drop bound is vacuous and the count is the
-    unrestricted multinomial.  ``method="brute"`` filters the enumeration.
+    binomial number of admissible tail sets, in a loop over the shrinking
+    length; the step is valid only while n >= k+1, below which the drop
+    bound is vacuous and the count is the unrestricted multinomial.
+    ``method="brute"`` filters the enumeration.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -294,13 +295,12 @@ def count_descent_superset(spec: DescentSetSpec, k: int, method: str = "recurren
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}")
 
-    def rec(n: int, positions: frozenset[int]) -> int:
-        if n <= k:
-            return _superset_count_unrestricted(n, positions)
+    n, positions, count = spec.n, spec.positions, 1
+    while n > k:
         i = DescentSetSpec(n, positions).tail_length()
-        c = comb(k + 1, i + 1)
-        if c == 0:
+        count *= comb(k + 1, i + 1)
+        if count == 0:
             return 0
-        return c * rec(n - i - 1, frozenset(x for x in positions if x <= n - i - 2))
-
-    return rec(spec.n, spec.positions)
+        n -= i + 1
+        positions = frozenset(x for x in positions if x <= n - 1)
+    return count * _superset_count_unrestricted(n, positions)

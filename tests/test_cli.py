@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from descpoly import cli
 from descpoly.cli import main
+from descpoly.juggling import JugglingSequence
+from descpoly.polynomial import IntPoly
+from descpoly.verify import CheckResult
 
 
 def run_cli(capsys, *args):
@@ -76,13 +81,17 @@ def test_poly_k0(capsys):
     code, out, _ = run_cli(capsys, "poly", "--k", "0", "--format", "json")
     assert code == 0
     assert json.loads(out)["constructions"] == {"formula": ["1"]}
-    code, _, err = run_cli(capsys, "poly", "--k", "0", "--construction", "stretch")
+    code, out, err = run_cli(capsys, "poly", "--k", "0", "--construction", "stretch")
     assert code == 2
+    assert out == ""
+    assert err == "error: construction 'stretch' needs k >= 1\n"
 
 
 def test_poly_cap(capsys):
-    code, _, err = run_cli(capsys, "poly", "--k", "9")
+    code, out, err = run_cli(capsys, "poly", "--k", "9")
     assert code == 2
+    assert out == ""
+    assert err == "error: k=9 exceeds cap 8 (raise with --kmax)\n"
     code, out, _ = run_cli(capsys, "poly", "--k", "9", "--kmax", "9", "--format", "json")
     assert code == 0
     assert json.loads(out)["agree"] is True
@@ -200,3 +209,96 @@ def test_verify_negative_bound_exits_2(capsys, args):
 def test_bad_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "table", "--n", "5:2", "--k", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["3:", ":3"])
+def test_empty_range_bound_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "table", "--n", text, "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad range {text!r}\n"
+
+
+def test_table_route_disagreement_exits_1(capsys, monkeypatch):
+    real = cli.descent_poly
+
+    def perturbed(n, k, route="rec", cap=10):
+        result = real(n, k, route, cap=cap)
+        if route == "closed" and n == 4:
+            return dataclasses.replace(result, poly=result.poly + IntPoly((0, 1)))
+        return result
+
+    monkeypatch.setattr(cli, "descent_poly", perturbed)
+    code, out, err = run_cli(capsys, "table", "--n", "3:5", "--k", "2", "--route", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "# n k r value agree"
+    assert {line.split()[0]: line.split()[-1] for line in lines[1:]} == {
+        "3": "true",
+        "4": "false",
+        "5": "true",
+    }
+    assert err.startswith("route disagreement at n=4 k=2: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_poly_construction_disagreement_exits_1(capsys, monkeypatch):
+    real = cli.kernel_poly_by_duplication
+    monkeypatch.setattr(cli, "kernel_poly_by_duplication", lambda k: real(k) + IntPoly((0, 1)))
+    code, out, err = run_cli(capsys, "poly", "--k", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "agree: false"
+    assert err.startswith("construction disagreement for P at k=3: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_juggle_crosscheck_mismatch_exits_1(capsys, monkeypatch):
+    real = cli.remove_ball
+    monkeypatch.setattr(cli, "remove_ball", lambda T: JugglingSequence(reversed(real(T).throws)))
+    code, out, err = run_cli(capsys, "juggle", "--perm", "3,2,1", "--k", "2")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["one ball removed: (1, 0, 2)", "bubble crosscheck: mismatch"]
+    assert err.startswith("bubble crosscheck: mismatch")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    results = [CheckResult("a claim", True), CheckResult("b claim", False, "at n=2")]
+    monkeypatch.setattr(cli, "run_suite", lambda suite, nmax, kmax: results)
+    code, out, err = run_cli(capsys, "verify", "--suite", "routes")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS a claim",
+        "FAIL b claim: at n=2",
+        "# 1/2 checks passed (nmax=7, kmax=7)",
+    ]
+    assert err == "FAIL b claim: at n=2\n"
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("rendered a format that was not requested")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --n 2:6 --k 2 --route all",
+        "poly --k 3",
+        "gf --k 2 --order 6",
+        "juggle --perm 3,2,1 --k 2",
+        "verify --suite structure --kmax 4",
+    ],
+)
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_plain_and_csv_never_encode_json(capsys, monkeypatch, argv, fmt):
+    monkeypatch.setattr(json, "dumps", _raise)
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
+    assert code == 0
+    assert out
+
+
+def test_gf_json_never_pretty_prints(capsys, monkeypatch):
+    monkeypatch.setattr(IntPoly, "pretty", _raise)
+    code, out, _ = run_cli(capsys, "gf", "--k", "2", "--order", "40", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["series"]) == 41

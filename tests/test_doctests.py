@@ -1,23 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
-import descpoly.descent
-import descpoly.eulerian
-import descpoly.juggling
-import descpoly.permutation
-import descpoly.polynomial
 import pytest
 
+import descpoly
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        descpoly.polynomial,
-        descpoly.eulerian,
-        descpoly.permutation,
-        descpoly.descent,
-        descpoly.juggling,
-    ],
-)
-def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+MODULES = sorted(f"descpoly.{info.name}" for info in pkgutil.iter_modules(descpoly.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

@@ -258,6 +258,12 @@ def test_count_descent_superset_examples():
         count_descent_superset(DescentSetSpec(3, ()), 1, method="nope")
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_count_descent_superset_far_past_recursion_limit(k):
+    n = 10**4
+    assert count_descent_superset(DescentSetSpec(n, ()), k) == bounded_drop_count(n, k)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_count_descent_superset_exhaustive(n):
     for k in range(n + 1):
