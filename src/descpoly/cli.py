@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from typing import NamedTuple
 
@@ -49,24 +49,32 @@ class Record(NamedTuple):
     failure: str | None = None
 
 
-def _decimal_strings(obj: object) -> list[str]:
+def _json_default(obj: object) -> list:
     if isinstance(obj, IntPoly):
         return [str(c) for c in obj.coeffs]
+    if isinstance(obj, Iterator):
+        return list(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit(fmt: str, record: Record) -> int:
     """Print ``record`` as plain text, JSON or CSV and return the exit code:
-    CHECK_FAILED, after one stderr line, when the record carries a failure."""
-    if fmt == "json":
-        print(json.dumps(record.doc, indent=2, sort_keys=True, default=_decimal_strings))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(record.header)
-        writer.writerows(record.rows)
-    else:
-        for line in record.lines:
-            print(line)
+    CHECK_FAILED, after one stderr line, when the record carries a failure.
+    CPython's int-to-string digit limit is lifted here, and only here."""
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(record.doc, indent=2, sort_keys=True, default=_json_default))
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(record.header)
+            writer.writerows(record.rows)
+        else:
+            for line in record.lines:
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     if record.failure is None:
         return 0
     print(record.failure, file=sys.stderr)
@@ -99,9 +107,10 @@ def _cmd_table(args: argparse.Namespace) -> Record:
         shown = polys[routes[0]]
         for r in range(max(len(shown.coeffs), 1)):
             # zip drops the agree flag when there is no agree column
-            rows.append(dict(zip(header, (n, k, r, str(shown.coefficient(r)), agree))))
+            rows.append(dict(zip(header, (n, k, r, shown.coefficient(r), agree))))
 
-    doc = {"command": "table", "route": args.route, "rows": rows}
+    json_rows = (dict(row, value=str(row["value"])) for row in rows)  # lazy, for emit
+    doc = {"command": "table", "route": args.route, "rows": json_rows}
     cells = (list(row.values()) for row in rows)
     plain = (" ".join(str(v).lower() for v in row.values()) for row in rows)
     return Record(doc, header, cells, chain(["# " + " ".join(header)], plain), failure)

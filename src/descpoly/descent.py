@@ -151,17 +151,17 @@ def descent_poly_by_closed_form(n: int, k: int) -> DescentPolyResult:
     """Every (k+1)-th coefficient of the kernel times the geometric power.
 
     The power comes from J.C.P. Miller's recurrence (``IntPoly.__pow__``) in
-    O(k^2 n) coefficient ops, and its product with the degree-k^2 kernel
-    makes the route O(k^3 n): this is the route for large n.  For n < k the
-    drop bound is vacuous and the Eulerian polynomial is returned directly,
-    avoiding a negative geometric exponent.
+    O(k^2 n) coefficient ops, and the strided product with the degree-k^2
+    kernel forms only the kept coefficients, also in O(k^2 n): this is the
+    route for large n.  For n < k the drop bound is vacuous and the Eulerian
+    polynomial is returned directly, avoiding a negative geometric exponent.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if n < k:
         poly = eulerian_poly(n)
     else:
-        poly = (kernel_poly(k) * geometric(k) ** (n - k)).multisect(k + 1)
+        poly = kernel_poly(k).product(geometric(k) ** (n - k), k + 1)
     return DescentPolyResult(n, k, poly, "closed_form")
 
 

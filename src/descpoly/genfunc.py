@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import zip_longest
 from math import comb
 
 from .eulerian import eulerian_poly
@@ -33,18 +34,24 @@ class RationalBivariateGF:
         """Series coefficients of z^0 .. z^upto, each a polynomial in y, as a
         fresh list.
 
-        The result at index n is the descent polynomial for (n, k).
+        The result at index n is the descent polynomial for (n, k).  The
+        binomial weights step it by Horner's rule in (y-1), O(k n) coefficient
+        ops a term; ``convolution_residual`` checks it against the denominator.
         """
         if upto < 0:
             raise ValueError("order must be nonnegative")
         out = list(self._terms)  # published below by one reference swap
         if len(out) <= upto:
-            weights = [-d for d in self.denominator]
+            binoms = [comb(self.k + 1, i) for i in range(self.k + 2)]
             for n in range(len(out), upto + 1):
-                acc = self.numerator[n] if n < len(self.numerator) else IntPoly()
-                for i in range(1, min(n, self.k + 1) + 1):
-                    acc = acc + weights[i] * out[n - i]
-                out.append(acc)
+                # acc <- acc * (y-1) + C(k+1,i) D_{n-i}, i from the top down,
+                # on coefficient lists: the shift and subtraction are the (y-1)
+                acc: list[int] = []
+                for i in range(min(n, self.k + 1), 0, -1):
+                    columns = zip_longest([0, *acc], acc, out[n - i].coeffs, fillvalue=0)
+                    acc = [lo - hi + binoms[i] * x for lo, hi, x in columns]
+                term = IntPoly(acc)
+                out.append(term + self.numerator[n] if n < len(self.numerator) else term)
             object.__setattr__(self, "_terms", tuple(out))
         return out[: upto + 1]
 

@@ -85,16 +85,32 @@ class IntPoly:
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPoly(out)
+        return self.product(other)
 
     __rmul__ = __mul__
+
+    def product(self, other: IntPoly, step: int = 1) -> IntPoly:
+        """Every ``step``-th coefficient of ``self * other``: the new power
+        ``d`` holds the product's coefficient of power ``d*step``, so
+        ``a.product(b, step) == (a * b).multisect(step)``.  Only the pairs
+        of powers ``i + j`` divisible by ``step`` are multiplied, which
+        costs ``len(a) * len(b) / step`` coefficient ops; step 1 is ``*``.
+
+        >>> IntPoly((1, 1, 1)).product(IntPoly((1, 1, 1)), 2)
+        IntPoly((1, 3, 1))
+        """
+        if step < 1:
+            raise ValueError("a strided product needs step >= 1")
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly()
+        out = [0] * ((len(a) + len(b) - 2) // step + 1)
+        for i, c in enumerate(a):
+            if c:
+                j = -i % step  # the least j with i + j divisible by step
+                for t, d in enumerate(b[j::step], (i + j) // step):
+                    out[t] += c * d
+        return IntPoly(out)
 
     def __pow__(self, e: int) -> IntPoly:
         """Exact power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2
@@ -145,17 +161,6 @@ class IntPoly:
         if step < 1:
             raise ValueError("multisection needs step >= 1")
         return IntPoly(self.coeffs[::step])
-
-    def reverse(self, d: int) -> IntPoly:
-        """Return ``u^d * p(1/u)``: old power ``j`` moves to ``d - j``."""
-        if self.is_zero():
-            return self
-        if d < len(self.coeffs) - 1:
-            raise ValueError(f"reversal degree {d} below degree {self.degree}")
-        out = [0] * (d + 1)
-        for j, c in enumerate(self.coeffs):
-            out[d - j] = c
-        return IntPoly(out)
 
     def is_symmetric(self) -> bool:
         if self.is_zero():

@@ -146,12 +146,12 @@ def check_intro_factorizations(nmax: int, kmax: int) -> CheckResult:
     base2 = IntPoly((1, 0, 1))
     base3 = IntPoly((1, 0, 1, 2, 1, 0, 1))
     for n in range(1, nmax + 1):
-        got = (base2 * geometric(2) ** (n - 1)).multisect(3)
+        got = base2.product(geometric(2) ** (n - 1), 3)
         want = descent_poly_by_recurrence(n, 2).poly
         if got != want:
             return _fail(name, f"k=2 n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}")
     for n in range(2, nmax + 1):
-        got = (base3 * geometric(3) ** (n - 2)).multisect(4)
+        got = base3.product(geometric(3) ** (n - 2), 4)
         want = descent_poly_by_recurrence(n, 3).poly
         if got != want:
             return _fail(name, f"k=3 n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}")

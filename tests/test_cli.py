@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import sys
+from math import factorial
 
 import pytest
 
@@ -302,3 +304,22 @@ def test_gf_json_never_pretty_prints(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "gf", "--k", "2", "--order", "40", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["series"]) == 41
+
+
+def test_table_prints_coefficients_past_the_int_digit_limit(capsys):
+    # at (7160, 3) the largest coefficient has more than 4,300 digits, the
+    # default limit of CPython's int-to-string conversion
+    n, k = 7160, 3
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "table", "--n", str(n), "--k", str(k), "--route", "closed")
+        assert sys.get_int_max_str_digits() == 4300  # lifted for printing only
+        sys.set_int_max_str_digits(0)
+        values = [line.split()[3] for line in out.splitlines()[1:]]
+        total = sum(map(int, values))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert max(map(len, values)) > 4300
+    assert total == factorial(k) * (k + 1) ** (n - k)

@@ -90,9 +90,18 @@ def test_binomial_row_far_past_enumeration():
     assert poly.coeffs == tuple(comb(2000, 2 * d) for d in range(1001))
 
 
-@pytest.mark.parametrize(("n", "k"), [(300, 10), (1000, 3)])
+# The closed form and the recurrence (the series) share no code, so agreement
+# far past the enumeration cap is a real check; the grid is sized to a few
+# seconds (counts as in Buhler, Eisenbud, Graham and Wright, "Juggling drops
+# and descents", Amer. Math. Monthly 101, 1994).
+@pytest.mark.parametrize(("n", "k"), [(300, 10), (1000, 3), (500, 8), (1000, 8), (500, 12)])
 def test_closed_form_matches_recurrence_far_past_enumeration(n, k):
     assert descent_poly_by_closed_form(n, k).poly == descent_poly_by_recurrence(n, k).poly
+
+
+@pytest.mark.parametrize(("n", "k"), [(2000, 12), (1000, 20)])
+def test_closed_form_total_at_large_k(n, k):
+    assert descent_poly_by_closed_form(n, k).total() == factorial(k) * (k + 1) ** (n - k)
 
 
 def test_result_metadata():

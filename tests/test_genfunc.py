@@ -48,14 +48,16 @@ def test_series_examples():
         descent_gf(1).series(-1)
 
 
-@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("k", range(11))
 def test_series_matches_recurrence(k):
     # the recurrence route reads this series, so the closed form is the
-    # independent reference
-    series = descent_gf(k).series(12)
-    for n in range(13):
+    # independent reference; a cold instance steps the series here, not
+    # from the memo, and the denominator it no longer reads must annihilate it
+    series = _cold(k).series(40)
+    for n in range(41):
         want = descent_poly_by_closed_form(n, k).poly
         assert series[n] == want == descent_poly_by_recurrence(n, k).poly, (n, k)
+    assert all(r.is_zero() for r in descent_gf(k).convolution_residual(series))
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -153,15 +153,6 @@ def test_multisect():
     assert p.multisect(1) == p
 
 
-def test_reverse():
-    assert IntPoly((1, 1)).reverse(1) == IntPoly((1, 1))
-    assert IntPoly((1, 2)).reverse(2) == IntPoly((0, 2, 1))
-    p2 = IntPoly((1, 1, 2, 1, 1))
-    assert p2.reverse(4) == p2
-    with pytest.raises(ValueError):
-        IntPoly((1, 2, 3)).reverse(1)
-
-
 def test_symmetry_and_unimodality():
     assert IntPoly((1, 1, 2, 1, 1)).is_symmetric()
     assert not IntPoly((1, 2)).is_symmetric()
@@ -206,11 +197,41 @@ def test_multisect_inverts_substitute_power(p, m):
     assert p.substitute_power(m).multisect(m) == p
 
 
-@given(small_polys, st.integers(0, 12))
-def test_reverse_is_involutive(p, d):
-    if p.degree is not None and d < p.degree:
-        d = p.degree
-    assert p.reverse(d).reverse(d) == p
+# operands of the strided product: negative coefficients, the zero
+# polynomial and one-term polynomials, short and long enough to leave every
+# residue class mod step populated
+one_term = st.tuples(st.integers(0, 8), st.integers(-9, 9).filter(bool)).map(
+    lambda t: IntPoly((0,) * t[0] + (t[1],))
+)
+operands = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=20).map(IntPoly), one_term, st.just(IntPoly())
+)
+
+
+def _convolution(a, b):
+    # the product straight from its definition, sharing no code with IntPoly
+    size = len(a.coeffs) + len(b.coeffs)
+    return IntPoly(
+        sum(a.coefficient(i) * b.coefficient(t - i) for i in range(t + 1)) for t in range(size)
+    )
+
+
+@given(operands, operands, st.integers(1, 6))
+def test_strided_product_is_multisected_product(a, b, step):
+    want = _convolution(a, b).multisect(step)
+    assert a.product(b, step) == (a * b).multisect(step) == want
+
+
+def test_strided_product_examples():
+    p = IntPoly((1, 1, 1))
+    assert p.product(p, 2) == IntPoly((1, 3, 1))
+    assert p.product(p, 3) == IntPoly((1, 2))
+    assert p.product(p, 5) == IntPoly((1,))
+    assert IntPoly((0, 1)).product(IntPoly((0, 0, 2)), 3) == IntPoly((0, 2))
+    assert IntPoly((0, 1)).product(IntPoly((0, 0, 0, 2)), 3) == IntPoly()
+    assert p.product(IntPoly(), 2) == IntPoly()
+    with pytest.raises(ValueError):
+        p.product(p, 0)
 
 
 @given(st.integers(0, 30))
