@@ -42,15 +42,9 @@ class RationalBivariateGF:
             raise ValueError("order must be nonnegative")
         out = list(self._terms)  # published below by one reference swap
         if len(out) <= upto:
-            binoms = [comb(self.k + 1, i) for i in range(self.k + 2)]
+            binoms = _binomials(self.k)
             for n in range(len(out), upto + 1):
-                # acc <- acc * (y-1) + C(k+1,i) D_{n-i}, i from the top down,
-                # on coefficient lists: the shift and subtraction are the (y-1)
-                acc: list[int] = []
-                for i in range(min(n, self.k + 1), 0, -1):
-                    columns = zip_longest([0, *acc], acc, out[n - i].coeffs, fillvalue=0)
-                    acc = [lo - hi + binoms[i] * x for lo, hi, x in columns]
-                term = IntPoly(acc)
+                term = IntPoly(_weighted_sum(binoms, out, n))
                 out.append(term + self.numerator[n] if n < len(self.numerator) else term)
             object.__setattr__(self, "_terms", tuple(out))
         return out[: upto + 1]
@@ -70,25 +64,40 @@ class RationalBivariateGF:
         return residuals
 
 
+def _binomials(k: int) -> list[int]:
+    return [comb(k + 1, i) for i in range(k + 2)]
+
+
+def _weighted_sum(binoms: list[int], terms: Sequence[IntPoly], n: int) -> list[int]:
+    # sum_{i=1}^{min(n, k+1)} C(k+1,i) (y-1)^(i-1) terms[n-i] as a coefficient
+    # list, by Horner's rule: acc <- acc * (y-1) + C(k+1,i) terms[n-i], i from
+    # the top down; the shift and subtraction are the (y-1)
+    acc: list[int] = []
+    for i in range(min(n, len(binoms) - 1), 0, -1):
+        columns = zip_longest([0, *acc], acc, terms[n - i].coeffs, fillvalue=0)
+        acc = [lo - hi + binoms[i] * x for lo, hi, x in columns]
+    return acc
+
+
 @cache
 def descent_gf(k: int) -> RationalBivariateGF:
     """The generating function for drop bound k, one shared instance per k.
 
     The denominator is 1 minus the recurrence weights C(k+1, i) (y-1)^(i-1)
     on z^i; the numerator is the denominator times the Eulerian initial
-    conditions, truncated after z^k.
+    conditions, truncated after z^k, built by the series' own Horner step:
+    num[t] = E_t - sum_{i=1}^{t} C(k+1,i) (y-1)^(i-1) E_{t-i}.
 
     >>> [p.coeffs for p in descent_gf(1).series(3)]
     [(1,), (1,), (1, 1), (1, 3)]
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    binoms = _binomials(k)
     ym1 = IntPoly((-1, 1))
     den = [IntPoly((1,))]
     for i in range(1, k + 2):
-        den.append(-(comb(k + 1, i) * ym1 ** (i - 1)))
-    num = [
-        sum((den[i] * eulerian_poly(t - i) for i in range(t + 1)), IntPoly())
-        for t in range(k + 1)
-    ]
+        den.append(-(binoms[i] * ym1 ** (i - 1)))
+    eulerian = [eulerian_poly(t) for t in range(k + 1)]
+    num = [eulerian[t] - IntPoly(_weighted_sum(binoms, eulerian, t)) for t in range(k + 1)]
     return RationalBivariateGF(k, tuple(num), tuple(den))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import add, index, sub
 
 from .permutation import Permutation, _bsort_word
 
@@ -20,17 +21,29 @@ class DropExceedsK(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class JugglingSequence:
-    """Throw heights (t_1, ..., t_n) for one period, n >= 1."""
+    """Throw heights (t_1, ..., t_n) for one period, n >= 1.
+
+    The constructor passes each height through ``operator.index`` (a float
+    raises ``TypeError``, a bool becomes an int) and rejects negative ones.
+    """
 
     throws: tuple[int, ...]
 
     def __init__(self, throws: Iterable[int]):
-        ts = tuple(throws)
+        ts = tuple(map(index, throws))
         if not ts:
             raise ValueError("a juggling sequence needs period >= 1")
-        if any(not isinstance(t, int) or t < 0 for t in ts):
+        if min(ts) < 0:
             raise ValueError(f"throw heights must be nonnegative integers: {ts}")
         object.__setattr__(self, "throws", ts)
+
+    @classmethod
+    def _trusted(cls, throws: tuple[int, ...]) -> JugglingSequence:
+        # no check: only for a nonempty tuple of nonnegative ints built as
+        # one; outside input goes through __init__
+        T = object.__new__(cls)
+        object.__setattr__(T, "throws", throws)
+        return T
 
     @property
     def period(self) -> int:
@@ -55,19 +68,22 @@ class JugglingSequence:
 def throw_sequence(p: Permutation, k: int) -> JugglingSequence:
     """Encode a permutation with maxdrop <= k as the k-ball siteswap whose
     throw at time i is k - i + value(i)."""
-    if p.n == 0:
+    k, v = index(k), p.values
+    if not v:
         raise ValueError("cannot encode the empty permutation")
-    if p.maxdrop() > k:
-        raise DropExceedsK(f"maxdrop {p.maxdrop()} of {p.values} exceeds k={k}")
-    return JugglingSequence(tuple(k - (i + 1) + v for i, v in enumerate(p.values)))
+    md = p.maxdrop()
+    if md > k:
+        raise DropExceedsK(f"maxdrop {md} of {v} exceeds k={k}")
+    # throw k - i + value(i) >= k - maxdrop >= 0
+    return JugglingSequence._trusted(tuple(map(add, range(k - 1, k - 1 - len(v), -1), v)))
 
 
 def _remove_ball_word(throws: tuple[int, ...]) -> tuple[int, ...]:
     # mirror of one bubble pass: run the pass on the landing times t_i + i + 1;
     # every throw lands one beat earlier than before, so the landing now at
     # index i belongs to a throw of height landing - i - 2
-    landings = _bsort_word(tuple(t + i + 1 for i, t in enumerate(throws)))
-    return tuple(land - i - 2 for i, land in enumerate(landings))
+    landings = _bsort_word(tuple(map(add, throws, range(1, len(throws) + 1))))
+    return tuple(map(sub, landings, range(2, len(landings) + 2)))
 
 
 def remove_ball(T: JugglingSequence) -> JugglingSequence:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import index, sub
 
 
 def _bsort_word(w: Sequence[int]) -> tuple[int, ...]:
@@ -48,15 +49,28 @@ def _ssort_word(w: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """A permutation of {1, ..., n} in one-line notation."""
+    """A permutation of {1, ..., n} in one-line notation.
+
+    The constructor passes each entry through ``operator.index`` (a float
+    raises ``TypeError``, a bool becomes an int) and checks that the entries
+    are 1..n in some order.
+    """
 
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int] = ()):
-        vs = tuple(values)
+        vs = tuple(map(index, values))
         if sorted(vs) != list(range(1, len(vs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(vs)}: {vs}")
         object.__setattr__(self, "values", vs)
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> Permutation:
+        # no check: only for a tuple of ints that is a permutation of 1..n by
+        # construction; outside input goes through __init__
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
@@ -87,15 +101,16 @@ class Permutation:
 
     def maxdrop(self) -> int:
         """Largest value of position minus entry; 0 for the identity."""
-        return max((i + 1 - v for i, v in enumerate(self.values)), default=0)
+        v = self.values
+        return max(map(sub, range(1, len(v) + 1), v)) if v else 0
 
     def bsort(self) -> Permutation:
         """One bubble sort pass."""
-        return Permutation(_bsort_word(self.values))
+        return Permutation._trusted(_bsort_word(self.values))
 
     def ssort(self) -> Permutation:
         """One stack sort pass."""
-        return Permutation(_ssort_word(self.values))
+        return Permutation._trusted(_ssort_word(self.values))
 
     def bsc(self) -> int:
         """Number of bubble passes needed to reach the identity."""
@@ -124,8 +139,13 @@ def standardize(word: Sequence[int]) -> Permutation:
     """
     if len(set(word)) != len(word):
         raise ValueError(f"entries must be distinct: {tuple(word)}")
-    rank = {v: i + 1 for i, v in enumerate(sorted(word))}
-    return Permutation(rank[v] for v in word)
+    return _ranks(word)
+
+
+def _ranks(word: Sequence[int]) -> Permutation:
+    # standardize a word already known to have distinct entries
+    rank = {v: i for i, v in enumerate(sorted(word), 1)}
+    return Permutation._trusted(tuple(map(rank.__getitem__, word)))
 
 
 def unstandardize(p: Permutation, ground: Iterable[int]) -> tuple[int, ...]:
@@ -149,7 +169,7 @@ class DescentSetSpec:
 
     def __init__(self, n: int, positions: Iterable[int] = ()):
         ps = frozenset(positions)
-        if any(not 1 <= i <= n - 1 for i in ps):
+        if ps and not 1 <= min(ps) <= max(ps) <= n - 1:
             raise ValueError(f"positions {sorted(ps)} not within [1, {n - 1}]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", ps)
@@ -170,14 +190,14 @@ def detach_tail(p: Permutation, spec: DescentSetSpec) -> tuple[Permutation, froz
     first n-i-1 entries together with the set of the last i+1 entries.  The
     descent set of ``p`` must contain the required positions.
     """
-    if spec.n != p.n:
-        raise ValueError(f"spec length {spec.n} != permutation length {p.n}")
-    if not spec.positions <= p.descent_set():
+    v = p.values
+    if spec.n != len(v):
+        raise ValueError(f"spec length {spec.n} != permutation length {len(v)}")
+    if not all(v[j - 1] > v[j] for j in spec.positions):
         missing = sorted(spec.positions - p.descent_set())
-        raise ValueError(f"required descents {missing} absent from {p.values}")
-    i = spec.tail_length()
-    cut = p.n - i - 1
-    return standardize(p.values[:cut]), frozenset(p.values[cut:])
+        raise ValueError(f"required descents {missing} absent from {v}")
+    cut = len(v) - spec.tail_length() - 1
+    return _ranks(v[:cut]), frozenset(v[cut:])
 
 
 def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
@@ -187,14 +207,17 @@ def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
     >>> attach_tail(Permutation((3, 1, 4, 2)), {4, 6, 7}).values
     (3, 1, 5, 2, 7, 6, 4)
     """
-    xs = sorted(set(tail))
+    xset = set(map(index, tail))
+    xs = sorted(xset)
     if not xs:
         raise ValueError("tail must be nonempty")
-    n = p.n + len(xs)
+    n = len(p.values) + len(xs)
     if xs[0] < 1 or xs[-1] > n:
         raise ValueError(f"tail values {xs} not within [1, {n}]")
-    ground = sorted(set(range(1, n + 1)) - set(xs))
-    return Permutation(unstandardize(p, ground) + tuple(reversed(xs)))
+    # the complement, sorted by construction, has exactly p.n values
+    ground = [x for x in range(1, n + 1) if x not in xset]
+    xs.reverse()
+    return Permutation._trusted(tuple([ground[v - 1] for v in p.values] + xs))
 
 
 def bounded_drop_words(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -242,8 +265,9 @@ def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
     once, without filtering the full symmetric group."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
+    trusted = Permutation._trusted
     for values, _ in bounded_drop_words(n, k):
-        yield Permutation(values)
+        yield trusted(values)
 
 
 def bounded_drop_count(n: int, k: int) -> int:

@@ -224,17 +224,18 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
         )
         for p in perms_m:
             md = p.maxdrop()
-            des = p.descent_set()
+            subsets = list(_subsets(p.descent_set()))
             for k in range(md, nmax):
                 for i in range(0, nmax - m):
                     n = m + i + 1
                     pool = range(max(1, n - k), n + 1)
+                    forced = frozenset(range(m + 1, m + i + 1))
                     for X in combinations(pool, i + 1):
-                        for T in _subsets(des):
-                            joined = attach_tail(p, X)
-                            S = T | frozenset(range(m + 1, m + i + 1))
-                            got = detach_tail(joined, DescentSetSpec(n, S))
-                            if got != (p, frozenset(X)):
+                        joined = attach_tail(p, X)
+                        want = (p, frozenset(X))
+                        for T in subsets:
+                            got = detach_tail(joined, DescentSetSpec(n, T | forced))
+                            if got != want:
                                 return _fail(
                                     name,
                                     f"m={m} k={k} X={sorted(X)} T={sorted(T)}: got {got}",
@@ -298,10 +299,12 @@ def check_encoding(nmax: int, kmax: int) -> CheckResult:
             seen = set()
             for p in enumerate_bounded_drop(n, k):
                 T = throw_sequence(p, k)
-                if not T.is_valid():
+                try:
+                    balls = T.ball_count()  # raises exactly when T is invalid
+                except ValueError:
                     return _fail(name, f"n={n} k={k} p={p.values}: invalid {T.throws}")
-                if T.ball_count() != k:
-                    return _fail(name, f"n={n} k={k} p={p.values}: balls {T.ball_count()}")
+                if balls != k:
+                    return _fail(name, f"n={n} k={k} p={p.values}: balls {balls}")
                 if T.throws in seen:
                     return _fail(name, f"n={n} k={k}: duplicate image {T.throws}")
                 seen.add(T.throws)

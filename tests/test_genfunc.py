@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from math import comb
 from threading import Barrier, Thread
 
 import pytest
@@ -38,6 +39,28 @@ def test_gf_unit_constant_terms():
         assert gf.denominator[0] == IntPoly((1,))
         assert len(gf.numerator) == k + 1
         assert len(gf.denominator) == k + 2
+
+
+def _eulerian_rows(n):
+    # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1), from the row of the empty permutation
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([(d + 1) * prev[d] + (m - d) * (prev[d - 1] if d else 0) for d in range(m)])
+    return [IntPoly(row) for row in rows]
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_numerator_is_truncated_product(k):
+    # numerator = (1 - sum_i C(k+1,i) (y-1)^(i-1) z^i) * sum_t E_t z^t, up to z^k
+    eulerian = _eulerian_rows(k)
+    den = [IntPoly((1,))] + [
+        IntPoly((-comb(k + 1, i),)) * IntPoly((-1, 1)) ** (i - 1) for i in range(1, k + 2)
+    ]
+    want = [sum((den[i] * eulerian[t - i] for i in range(t + 1)), IntPoly()) for t in range(k + 1)]
+    gf = descent_gf(k)
+    assert list(gf.denominator) == den
+    assert list(gf.numerator) == want
 
 
 def test_series_examples():

@@ -23,6 +23,15 @@ def test_constructor_validates():
         JugglingSequence((1, -1))
 
 
+def test_constructor_takes_exact_integer_heights():
+    with pytest.raises(TypeError):
+        JugglingSequence((2.0, 0))
+    with pytest.raises(TypeError):
+        throw_sequence(Permutation((1,)), 1.0)
+    T = JugglingSequence((True, False))
+    assert T.throws == (1, 0) and [type(t) for t in T.throws] == [int, int]
+
+
 def test_five_throw_example_sequence():
     T = JugglingSequence((3, 5, 0, 2, 0))
     assert T.is_valid()

@@ -27,6 +27,16 @@ def test_constructor_rejects_non_permutations():
         Permutation((1, 1, 2))
 
 
+def test_constructor_takes_exact_integer_entries():
+    with pytest.raises(TypeError):
+        Permutation((2.0, 1.0))
+    with pytest.raises(TypeError):
+        attach_tail(Permutation((1,)), {2.0})
+    p = Permutation((True,))
+    assert p.values == (1,) and type(p.values[0]) is int
+    assert [type(v) for v in Permutation((2, True)).values] == [int, int]
+
+
 def test_descent_set():
     assert sorted(Permutation((1, 3, 8, 4, 2, 5, 9, 7, 6)).descent_set()) == [3, 4, 7, 8]
     assert Permutation((1, 2, 3)).descent_set() == frozenset()
