@@ -230,11 +230,12 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
                     n = m + i + 1
                     pool = range(max(1, n - k), n + 1)
                     forced = frozenset(range(m + 1, m + i + 1))
+                    specs = [(T, DescentSetSpec(n, T | forced)) for T in subsets]
                     for X in combinations(pool, i + 1):
                         joined = attach_tail(p, X)
                         want = (p, frozenset(X))
-                        for T in subsets:
-                            got = detach_tail(joined, DescentSetSpec(n, T | forced))
+                        for T, spec in specs:
+                            got = detach_tail(joined, spec)
                             if got != want:
                                 return _fail(
                                     name,
@@ -264,9 +265,11 @@ def check_standardization(nmax: int, kmax: int) -> CheckResult:
     bound = min(nmax, 5)
     name = f"standardization round trips and preserves descent sets, words of length <= {bound}"
     for n in range(1, bound + 1):
+        # neither the permutation nor its descent set depends on the ground set
+        perms = [Permutation(p) for p in permutations(range(1, n + 1))]
+        cases = [(perm, perm.values, perm.descent_set()) for perm in perms]
         for ground in combinations(range(1, 2 * bound + 1), n):
-            for p in permutations(range(1, n + 1)):
-                perm = Permutation(p)
+            for perm, p, descents in cases:
                 word = unstandardize(perm, ground)
                 back = standardize(word)
                 if back != perm:
@@ -274,7 +277,7 @@ def check_standardization(nmax: int, kmax: int) -> CheckResult:
                 word_descents = frozenset(
                     i + 1 for i in range(n - 1) if word[i] > word[i + 1]
                 )
-                if word_descents != perm.descent_set():
+                if word_descents != descents:
                     return _fail(name, f"ground={ground} p={p}: descent sets differ")
     return _ok(name)
 

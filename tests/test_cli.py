@@ -1,9 +1,13 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,93 @@ def test_table_prints_coefficients_past_the_int_digit_limit(capsys):
     assert (code, err) == (0, "")
     assert max(map(len, values)) > 4300
     assert total == factorial(k) * (k + 1) ** (n - k)
+
+
+# The parser is built once per process and shared by every main() call.
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+GOLDEN_TABLE = next(
+    c["stdout_sha256"]
+    for c in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    if c["argv"] == "table --n 3 --k 1"
+)
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    calls = [["table", "--n", "3", "--k", "1"], ["gf", "--k", "1", "--order", "2"], ["bogus"]]
+    for argv in calls * 20:
+        _call(capsys, argv)
+    assert len(built) == 1
+
+
+def test_shared_parser_leaks_no_state(capsys, monkeypatch):
+    # each call must print and exit as it would with a parser of its own
+    calls = [
+        ["table", "--n", "4", "--k", "1", "--route", "enum", "--nmax", "3"],
+        ["table", "--n", "4", "--k", "1", "--route", "enum"],
+        ["poly", "--k", "2", "--format", "json"],
+        ["table", "--k", "1"],
+        ["juggle", "--perm", "3,2,1", "--k", "2", "--format", "csv"],
+        ["bogus"],
+        ["table", "--n", "5:2", "--k", "1"],
+        ["verify", "--suite", "structure", "--kmax", "4"],
+        ["table", "--n", "3", "--k", "1", "--format", "json"],
+        ["poly", "--k", "9"],
+        ["poly", "--k", "9", "--kmax", "9", "--construction", "formula"],
+        ["poly", "--k", "9"],
+        ["gf", "--k", "2", "--order", "6", "--format", "csv"],
+        ["table", "--n", "3", "--k", "1"],
+    ]
+    shared = [_call(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_call(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 2, 2, 0, 0, 2, 0, 2, 0, 0]
+    out = shared[-1][1]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **kw):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **kw)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import descpoly.cli\n"
+        "print(len(built))\n"
+    )
+    proc = _python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_module_entry_point():
+    proc = _python("-m", "descpoly.cli", "table", "--n", "3", "--k", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_TABLE
+    proc = _python("-m", "descpoly.cli", "table", "--n", "5:2", "--k", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: bad range '5:2'\n"

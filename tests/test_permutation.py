@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descpoly import permutation
+from descpoly import permutation, verify
 from descpoly.permutation import (
     DescentSetSpec,
     Permutation,
@@ -165,6 +165,18 @@ def test_descent_set_spec_validates_positions():
         DescentSetSpec(3, {0})
 
 
+def test_descent_set_spec_takes_exact_integer_positions():
+    # a fractional position used to be ignored by the recurrence count (8)
+    # and matched by no permutation in the brute count (0)
+    with pytest.raises(TypeError):
+        DescentSetSpec(4, {1.5})
+    with pytest.raises(TypeError):
+        DescentSetSpec(4, {2.0})
+    spec = DescentSetSpec(3, {True})
+    assert spec.positions == {1} and [type(x) for x in spec.positions] == [int]
+    assert count_descent_superset(spec, 1) == count_descent_superset(spec, 1, method="brute")
+
+
 def test_detach_tail_worked_example():
     sigma, tail = detach_tail(
         Permutation((1, 3, 8, 4, 2, 5, 9, 7, 6)), DescentSetSpec(9, {3, 7, 8})
@@ -282,3 +294,21 @@ def test_count_descent_superset_exhaustive(n):
             assert count_descent_superset(spec, k) == count_descent_superset(
                 spec, k, method="brute"
             ), (n, k, sorted(S))
+
+
+def test_standardization_check_can_fail(monkeypatch):
+    real = verify.standardize
+    monkeypatch.setattr(
+        verify, "standardize", lambda w: Permutation.identity(3) if len(w) == 3 else real(w)
+    )
+    result = verify.check_standardization(5, 0)
+    assert not result.ok
+    assert result.detail == "ground=(1, 2, 3) p=(1, 3, 2): round trip gave (1, 2, 3)"
+
+    # an increasing word has no descents; hand back the permutation it came from
+    last = []
+    monkeypatch.setattr(verify, "standardize", lambda w: last[-1])
+    monkeypatch.setattr(verify, "unstandardize", lambda p, g: last.append(p) or tuple(sorted(g)))
+    result = verify.check_standardization(5, 0)
+    assert not result.ok
+    assert result.detail == "ground=(1, 2) p=(2, 1): descent sets differ"
