@@ -162,14 +162,17 @@ def unstandardize(p: Permutation, ground: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class DescentSetSpec:
-    """A required descent set: positions inside [1, n-1] for length n.
-    Each position passes through ``operator.index``, as permutation entries
-    do, so a float raises ``TypeError``."""
+    """A required descent set: positions inside [1, n-1] for length n >= 0.
+    The length and each position pass through ``operator.index``, as
+    permutation entries do, so a float raises ``TypeError``."""
 
     n: int
     positions: frozenset[int]
 
     def __init__(self, n: int, positions: Iterable[int] = ()):
+        n = index(n)
+        if n < 0:
+            raise ValueError(f"length {n} is negative")
         ps = frozenset(map(index, positions))
         if ps and not 1 <= min(ps) <= max(ps) <= n - 1:
             raise ValueError(f"positions {sorted(ps)} not within [1, {n - 1}]")

@@ -208,15 +208,33 @@ def _subsets(positions: frozenset[int]):
 
 
 def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
+    """Peel then reattach every (p, S), and attach then peel every (p, X),
+    checking that the drop bound k survives each map.
+
+    Neither map reads k, so each case runs once, at the least k that admits
+    it: p at k = maxdrop(p), and X at k = max(maxdrop(p), n - min(X)), the
+    first k whose pool [n-k, n] holds X.  A case that fails fails first at
+    that k, so the first counterexample is the one a loop over every k would
+    report.
+    """
     name = f"tail peeling and reattachment are mutually inverse, exhaustively for n <= {nmax}"
     for n in range(1, nmax + 1):
         for k in range(n):
             for p in enumerate_bounded_drop(n, k):
+                if p.maxdrop() != k:
+                    continue
                 for S in _subsets(p.descent_set()):
                     sigma, xs = detach_tail(p, DescentSetSpec(n, S))
                     back = attach_tail(sigma, xs)
                     if back != p:
-                        return _fail(name, f"n={n} k={k} p={p.values} S={sorted(S)}: got {back.values}")
+                        fault = f"got {back.values}"
+                    elif sigma.maxdrop() > k:
+                        fault = f"peeled {sigma.values} drops by more than k"
+                    elif min(xs) < n - k:
+                        fault = f"tail {sorted(xs)} not within [{n - k}, {n}]"
+                    else:
+                        continue
+                    return _fail(name, f"n={n} k={k} p={p.values} S={sorted(S)}: {fault}")
     # opposite direction: start from (sigma, X), attach, then peel
     for m in range(0, nmax):
         perms_m = [Permutation(())] if m == 0 else list(
@@ -225,13 +243,22 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
         for p in perms_m:
             md = p.maxdrop()
             subsets = list(_subsets(p.descent_set()))
+            # the forced positions, and so the specs, depend on i but not on k
+            specs_by_i = []
+            for i in range(nmax - m):
+                forced = frozenset(range(m + 1, m + i + 1))
+                specs_by_i.append([(T, DescentSetSpec(m + i + 1, T | forced)) for T in subsets])
             for k in range(md, nmax):
-                for i in range(0, nmax - m):
+                for i, specs in enumerate(specs_by_i):
                     n = m + i + 1
-                    pool = range(max(1, n - k), n + 1)
-                    forced = frozenset(range(m + 1, m + i + 1))
-                    specs = [(T, DescentSetSpec(n, T | forced)) for T in subsets]
-                    for X in combinations(pool, i + 1):
+                    if k == md:
+                        tails = combinations(range(max(1, n - k), n + 1), i + 1)
+                    elif n - k >= 1:
+                        # the pool gained n - k; the tails without it ran at k - 1
+                        tails = ((n - k,) + c for c in combinations(range(n - k + 1, n + 1), i))
+                    else:
+                        continue
+                    for X in tails:
                         joined = attach_tail(p, X)
                         want = (p, frozenset(X))
                         for T, spec in specs:
@@ -241,6 +268,12 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
                                     name,
                                     f"m={m} k={k} X={sorted(X)} T={sorted(T)}: got {got}",
                                 )
+                        if joined.maxdrop() > k:
+                            return _fail(
+                                name,
+                                f"m={m} k={k} X={sorted(X)}: "
+                                f"joined {joined.values} drops by more than k",
+                            )
     return _ok(name)
 
 

@@ -177,6 +177,18 @@ def test_descent_set_spec_takes_exact_integer_positions():
     assert count_descent_superset(spec, 1) == count_descent_superset(spec, 1, method="brute")
 
 
+def test_descent_set_spec_takes_an_exact_nonnegative_length():
+    # a float length used to reach the recurrence count (4) while the brute
+    # count raised, and a negative one failed later inside factorial()
+    with pytest.raises(TypeError):
+        DescentSetSpec(4.0, {1})
+    with pytest.raises(ValueError, match="negative"):
+        DescentSetSpec(-2, ())
+    spec = DescentSetSpec(True, ())
+    assert spec.n == 1 and type(spec.n) is int
+    assert count_descent_superset(DescentSetSpec(0), 0) == 1
+
+
 def test_detach_tail_worked_example():
     sigma, tail = detach_tail(
         Permutation((1, 3, 8, 4, 2, 5, 9, 7, 6)), DescentSetSpec(9, {3, 7, 8})
