@@ -94,13 +94,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_table(args: argparse.Namespace) -> Record:
     n_lo, n_hi = _parse_range(args.n)
     k = args.k
-    cap = args.nmax if args.nmax is not None else 10
     routes = ["enum", "rec", "closed"] if args.route == "all" else [args.route]
     header = ["n", "k", "r", "value"] + (["agree"] if args.route == "all" else [])
     rows = []
     failure = None
     for n in range(n_lo, n_hi + 1):
-        polys = {route: descent_poly(n, k, route, cap=cap).poly for route in routes}
+        polys = {route: descent_poly(n, k, route, cap=args.nmax).poly for route in routes}
         agree = len({p.coeffs for p in polys.values()}) == 1
         if not agree and failure is None:
             coeffs = {r: list(p.coeffs) for r, p in polys.items()}
@@ -132,9 +131,8 @@ def _kernel(k: int, which: str, construction: str) -> IntPoly:
 
 def _cmd_poly(args: argparse.Namespace) -> Record:
     k, which = args.k, args.which
-    cap = args.kmax if args.kmax is not None else 8
-    if k > cap:
-        raise ValueError(f"k={k} exceeds cap {cap} (raise with --kmax)")
+    if k > args.kmax:
+        raise ValueError(f"k={k} exceeds cap {args.kmax} (raise with --kmax)")
     if args.construction == "all":
         names = ["formula"] if k == 0 else ["formula", "stretch", "duplication"]
     elif k == 0 and args.construction != "formula":
@@ -223,8 +221,7 @@ def _verdict(r: CheckResult) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Record:
-    nmax = args.nmax if args.nmax is not None else 7
-    kmax = args.kmax if args.kmax is not None else 7
+    nmax, kmax = args.nmax, args.kmax
     results = run_suite(args.suite, nmax, kmax)
     failed = [r for r in results if not r.ok]
     doc = {
@@ -249,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["plain", "json", "csv"], default="plain",
         help="output format (default plain)",
     )
-    common.add_argument("--nmax", type=int, default=None, help="size cap / bound override")
-    common.add_argument("--kmax", type=int, default=None, help="drop bound cap override")
 
     parser = argparse.ArgumentParser(
         prog="descpoly",
@@ -262,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", required=True, help="n or inclusive range lo:hi")
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--route", choices=["enum", "rec", "closed", "all"], default="rec")
+    t.add_argument("--nmax", type=int, default=10, help="enumeration cap (default 10)")
     t.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("poly", parents=[common], help="kernel polynomials and their stretches")
@@ -270,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--construction", choices=["formula", "stretch", "duplication", "all"], default="all"
     )
+    p.add_argument("--kmax", type=int, default=8, help="kernel cap (default 8)")
     p.set_defaults(func=_cmd_poly)
 
     g = sub.add_parser("gf", parents=[common], help="generating function and its series")
@@ -288,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identities", "routes", "bijections", "juggling", "structure", "all"],
         default="all",
     )
+    v.add_argument("--nmax", type=int, default=7, help="size bound (default 7)")
+    v.add_argument("--kmax", type=int, default=7, help="drop bound (default 7)")
     v.set_defaults(func=_cmd_verify)
 
     return parser

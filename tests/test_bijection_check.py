@@ -2,6 +2,7 @@
 maps are wrong, and which cases it runs."""
 
 from itertools import combinations, permutations
+from math import factorial
 
 from descpoly import verify
 from descpoly.permutation import Permutation, attach_tail, enumerate_bounded_drop
@@ -160,5 +161,19 @@ def test_bijection_round_trip_runs_each_case_once(monkeypatch):
     assert verify.check_bijection_round_trip(6, 0).ok
     recorded = (forward_detach, forward_attach, reverse_attach, reverse_detach)
     for got, want in zip(recorded, _cases_over_every_k(6)):
-        assert len(got) == len(set(got))
-        assert set(got) == set(want)
+        # each case once, in the order a loop over every k first meets it
+        assert got == list(dict.fromkeys(want))
+
+
+def test_bijection_round_trip_draws_each_permutation_once(monkeypatch):
+    # the forward half needs every permutation of [n] once, for each n <= nmax
+    drawn = []
+
+    def counting_enumerate(n, k):
+        for p in enumerate_bounded_drop(n, k):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(verify, "enumerate_bounded_drop", counting_enumerate)
+    assert verify.check_bijection_round_trip(7, 0).ok
+    assert len(drawn) == sum(factorial(n) for n in range(1, 8)) == 5913

@@ -212,6 +212,28 @@ def test_verify_negative_bound_exits_2(capsys, args):
     assert err.startswith("error: nmax and kmax must be nonnegative")
 
 
+_BOUNDS_READ = [
+    (("table", "--n", "3", "--k", "1"), {"--nmax"}),
+    (("poly", "--k", "2"), {"--kmax"}),
+    (("gf", "--k", "1", "--order", "2"), set()),
+    (("juggle", "--perm", "3,2,1", "--k", "2"), set()),
+    (("verify", "--suite", "identities"), {"--nmax", "--kmax"}),
+]
+
+
+@pytest.mark.parametrize("argv, reads", _BOUNDS_READ, ids=[a[0] for a, _ in _BOUNDS_READ])
+def test_each_subcommand_takes_only_the_bounds_it_reads(capsys, argv, reads):
+    for flag in {"--nmax", "--kmax"} - reads:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert {flag for flag in ("--nmax", "--kmax") if flag in usage} == reads
+
+
 def test_bad_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "table", "--n", "5:2", "--k", "1")
     assert code == 2
