@@ -32,7 +32,7 @@ from .genfunc import descent_gf
 from .juggling import remove_ball, throw_sequence
 from .permutation import Permutation
 from .polynomial import IntPoly
-from .verify import CheckResult, run_suite
+from .verify import SUITES, CheckResult, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common], help="run property suites")
     v.add_argument(
         "--suite",
-        choices=["identities", "routes", "bijections", "juggling", "structure", "all"],
+        choices=[*SUITES, "all"],
         default="all",
     )
     v.add_argument("--nmax", type=int, default=7, help="size bound (default 7)")

@@ -95,10 +95,6 @@ class Permutation:
         v = self.values
         return frozenset(i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1])
 
-    def des(self) -> int:
-        v = self.values
-        return sum(v[i] > v[i + 1] for i in range(len(v) - 1))
-
     def maxdrop(self) -> int:
         """Largest value of position minus entry; 0 for the identity."""
         v = self.values
@@ -123,11 +119,6 @@ class Permutation:
             if m > self.n:
                 raise RuntimeError(f"bubble sort failed to terminate within {self.n} passes")
         return m
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.values)) if all(
-            v < 10 for v in self.values
-        ) else ",".join(map(str, self.values))
 
 
 def standardize(word: Sequence[int]) -> Permutation:
@@ -303,27 +294,17 @@ def _superset_count_unrestricted(n: int, positions: frozenset[int]) -> int:
     return r
 
 
-def count_descent_superset(spec: DescentSetSpec, k: int, method: str = "recurrence") -> int:
+def count_descent_superset(spec: DescentSetSpec, k: int) -> int:
     """Number of maxdrop <= k permutations whose descent set contains the
     positions of ``spec``.
 
-    ``method="recurrence"`` peels the forced tail and multiplies by the
-    binomial number of admissible tail sets, in a loop over the shrinking
-    length; the step is valid only while n >= k+1, below which the drop
-    bound is vacuous and the count is the unrestricted multinomial.
-    ``method="brute"`` filters the enumeration.
+    Peels the forced tail and multiplies by the binomial number of admissible
+    tail sets, in a loop over the shrinking length; the step is valid only
+    while n >= k+1, below which the drop bound is vacuous and the count is the
+    unrestricted multinomial.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if method == "brute":
-        return sum(
-            1
-            for p in enumerate_bounded_drop(spec.n, k)
-            if spec.positions <= p.descent_set()
-        )
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
-
     n, positions, count = spec.n, spec.positions, 1
     while n > k:
         i = DescentSetSpec(n, positions).tail_length()

@@ -1,10 +1,20 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
-Everything here goes through the full symmetric group, so it stays honest at
-the cost of n! work; the library must never call into this module.
+The counts go through the full symmetric group, so they stay honest at the
+cost of n! work, and the formulas are ones the library does not use; the
+library must never import this module (``tests/test_oracle_imports.py``).
 """
 
 from itertools import permutations
+from math import comb
+
+
+def eulerian_number(n: int, k: int) -> int:
+    """The Eulerian number by the classical alternating sum
+    sum_i (-1)^i C(n+1, i) (k+1-i)^n; 0 outside 0 <= k < max(n, 1)."""
+    if k < 0 or k >= max(n, 1):
+        return 0
+    return sum((-1) ** i * comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1))
 
 
 def descent_count(values) -> int:
@@ -30,6 +40,12 @@ def bounded_drop_by_filter(n: int, k: int) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
     return [p for p in permutations(range(1, n + 1)) if max_drop(p) <= k]
+
+
+def descent_superset_by_filter(n: int, positions, k: int) -> int:
+    """Number of maxdrop <= k permutations of [n] whose descent set contains
+    ``positions``, found by filtering the symmetric group."""
+    return sum(all(p[i - 1] > p[i] for i in positions) for p in bounded_drop_by_filter(n, k))
 
 
 def bounded_drop_census(n: int, k: int) -> list[int]:

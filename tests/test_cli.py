@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from descpoly import cli
+from descpoly import cli, verify
 from descpoly.cli import main
 from descpoly.juggling import JugglingSequence
 from descpoly.polynomial import IntPoly
@@ -301,6 +301,25 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         "# 1/2 checks passed (nmax=7, kmax=7)",
     ]
     assert err == "FAIL b claim: at n=2\n"
+
+
+def test_verify_check_that_raises_is_its_failure(capsys, monkeypatch):
+    # a fault in the code under test is a FAIL of the checks that reach it
+    # (exit 1), not a usage error (exit 2); the other checks still run
+    def injected(p, spec):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(verify, "detach_tail", injected)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijections", "--nmax", "4")
+    assert code == 1
+    assert err == "FAIL check_worked_examples: ValueError: injected fault\n"
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "FAIL check_worked_examples: ValueError: injected fault",
+        "FAIL check_bijection_round_trip: ValueError: injected fault",
+    ]
+    assert [line.split(" ", 1)[0] for line in lines[2:]] == ["PASS", "PASS", "#"]
+    assert lines[-1] == "# 2/4 checks passed (nmax=4, kmax=7)"
 
 
 def _raise(*args, **kwargs):

@@ -13,7 +13,7 @@ from descpoly.eulerian import (
 )
 from descpoly.polynomial import IntPoly
 
-from oracles import sn_descent_census
+from oracles import eulerian_number as alternating_sum, sn_descent_census
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,6 +46,21 @@ def test_eulerian_poly_small():
 @pytest.mark.parametrize("n", range(9))
 def test_eulerian_poly_matches_brute_force(n):
     assert list(eulerian_poly(n).coeffs) == sn_descent_census(n)
+
+
+@pytest.mark.parametrize("n", [*range(121), 200, 300])
+def test_eulerian_poly_matches_the_alternating_sum(n):
+    expected = [alternating_sum(n, k) for k in range(max(n, 1))]
+    assert list(eulerian_poly(n).coeffs) == expected
+
+
+def test_eulerian_poly_cold_order_past_the_recursion_limit():
+    # the rows are built in a loop, so a cold order above CPython's default
+    # recursion limit (1000) needs no recursion
+    eulerian_poly.cache_clear()
+    p = eulerian_poly(1100)
+    assert p.evaluate(1) == factorial(1100)
+    assert p.is_symmetric()
 
 
 @pytest.mark.parametrize("n", range(13))
