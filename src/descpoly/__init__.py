@@ -9,8 +9,6 @@ bubble-sort view of siteswap juggling sequences.
 
 from .descent import (
     CapExceeded,
-    DescentPolyResult,
-    descent_poly,
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
     descent_poly_by_recurrence,
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "DescentPolyResult",
     "DescentSetSpec",
     "DropExceedsK",
     "IntPoly",
@@ -59,7 +56,6 @@ __all__ = [
     "bounded_drop_count",
     "count_descent_superset",
     "descent_gf",
-    "descent_poly",
     "descent_poly_by_closed_form",
     "descent_poly_by_enumeration",
     "descent_poly_by_recurrence",

@@ -21,7 +21,9 @@ from itertools import chain
 from typing import NamedTuple
 
 from .descent import (
-    descent_poly,
+    descent_poly_by_closed_form,
+    descent_poly_by_enumeration,
+    descent_poly_by_recurrence,
     kernel_poly,
     kernel_poly_by_duplication,
     kernel_poly_by_stretch,
@@ -94,12 +96,18 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_table(args: argparse.Namespace) -> Record:
     n_lo, n_hi = _parse_range(args.n)
     k = args.k
-    routes = ["enum", "rec", "closed"] if args.route == "all" else [args.route]
+    # built per call from the module globals, so a patched route is the one run
+    by_name = {
+        "enum": functools.partial(descent_poly_by_enumeration, cap=args.nmax),
+        "rec": descent_poly_by_recurrence,
+        "closed": descent_poly_by_closed_form,
+    }
+    routes = list(by_name) if args.route == "all" else [args.route]
     header = ["n", "k", "r", "value"] + (["agree"] if args.route == "all" else [])
     rows = []
     failure = None
     for n in range(n_lo, n_hi + 1):
-        polys = {route: descent_poly(n, k, route, cap=args.nmax).poly for route in routes}
+        polys = {route: by_name[route](n, k) for route in routes}
         agree = len({p.coeffs for p in polys.values()}) == 1
         if not agree and failure is None:
             coeffs = {r: list(p.coeffs) for r, p in polys.items()}

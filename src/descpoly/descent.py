@@ -1,17 +1,17 @@
 """Descent polynomials of bounded-drop permutations by three independent
 routes, and the symmetric unimodal kernel polynomials behind the closed form.
 
-For parameters (n, k), the descent polynomial counts permutations of [n] with
-maxdrop at most k by their number of descents.  The three routes are direct
-enumeration, the tail-peeling linear recurrence, and multisection of the
-kernel polynomial times a geometric power.  The kernel itself has four
-constructions that must agree: the closed-form sum, its stretched variant,
-iterated stretch-and-multiply, and duplicate-insertion.
+For parameters (n, k), each route returns the descent polynomial as an
+``IntPoly``: its coefficient r counts the permutations of [n] with maxdrop at
+most k and r descents.  The three routes are direct enumeration, the
+tail-peeling linear recurrence, and multisection of the kernel polynomial
+times a geometric power.  The kernel itself has four constructions that must
+agree: the closed-form sum, its stretched variant, iterated
+stretch-and-multiply, and duplicate-insertion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 
@@ -25,23 +25,9 @@ class CapExceeded(ValueError):
     """Enumeration was requested beyond its configured size cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class DescentPolyResult:
-    """A descent polynomial together with the parameters and route that
-    produced it; coefficient r counts permutations with r descents."""
-
-    n: int
-    k: int
-    poly: IntPoly
-    route: str
-
-    def total(self) -> int:
-        """Number of permutations counted, i.e. the polynomial at 1."""
-        return self.poly.evaluate(1)
-
-
-def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> DescentPolyResult:
-    """Exact descent census over the bounded-drop class; refuses n beyond
+def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> IntPoly:
+    """The descent polynomial (coefficient r counts the permutations with r
+    descents) by an exact census of the bounded-drop class; refuses n beyond
     ``cap`` since the work grows like k!(k+1)^(n-k)."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -50,18 +36,19 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> DescentPolyRes
     counts = [0] * max(n, 1)
     for _, d in bounded_drop_words(n, k):
         counts[d] += 1
-    return DescentPolyResult(n, k, IntPoly(counts), "enumeration")
+    return IntPoly(counts)
 
 
-def descent_poly_by_recurrence(n: int, k: int) -> DescentPolyResult:
-    """Descent polynomial through the tail-peeling recurrence with Eulerian
-    initial conditions: the generating function's (memoised) series for
-    n > k, where the drop bound bites."""
+def descent_poly_by_recurrence(n: int, k: int) -> IntPoly:
+    """The descent polynomial (coefficient r counts the permutations with r
+    descents) through the tail-peeling recurrence with Eulerian initial
+    conditions: the generating function's (memoised) series for n > k, where
+    the drop bound bites."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if n <= k:
-        return DescentPolyResult(n, k, eulerian_poly(n), "recurrence")
-    return DescentPolyResult(n, k, descent_gf(k).series(n)[n], "recurrence")
+        return eulerian_poly(n)
+    return descent_gf(k).series(n)[n]
 
 
 def _kernel_sum(k: int, mod: int) -> IntPoly:
@@ -147,8 +134,10 @@ def kernel_poly_by_duplication(k: int) -> IntPoly:
     return IntPoly(seq)
 
 
-def descent_poly_by_closed_form(n: int, k: int) -> DescentPolyResult:
-    """Every (k+1)-th coefficient of the kernel times the geometric power.
+def descent_poly_by_closed_form(n: int, k: int) -> IntPoly:
+    """The descent polynomial (coefficient r counts the permutations with r
+    descents) as every (k+1)-th coefficient of the kernel times the geometric
+    power.
 
     The power comes from J.C.P. Miller's recurrence (``IntPoly.__pow__``) in
     O(k^2 n) coefficient ops, and the strided product with the degree-k^2
@@ -159,18 +148,5 @@ def descent_poly_by_closed_form(n: int, k: int) -> DescentPolyResult:
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if n < k:
-        poly = eulerian_poly(n)
-    else:
-        poly = kernel_poly(k).product(geometric(k) ** (n - k), k + 1)
-    return DescentPolyResult(n, k, poly, "closed_form")
-
-
-def descent_poly(n: int, k: int, route: str = "rec", cap: int = 10) -> DescentPolyResult:
-    """Dispatch to one of the three routes by its short name."""
-    if route == "enum":
-        return descent_poly_by_enumeration(n, k, cap=cap)
-    if route == "rec":
-        return descent_poly_by_recurrence(n, k)
-    if route == "closed":
-        return descent_poly_by_closed_form(n, k)
-    raise ValueError(f"unknown route {route!r}")
+        return eulerian_poly(n)
+    return kernel_poly(k).product(geometric(k) ** (n - k), k + 1)

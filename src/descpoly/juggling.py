@@ -71,11 +71,11 @@ def throw_sequence(p: Permutation, k: int) -> JugglingSequence:
     k, v = index(k), p.values
     if not v:
         raise ValueError("cannot encode the empty permutation")
-    md = p.maxdrop()
-    if md > k:
-        raise DropExceedsK(f"maxdrop {md} of {v} exceeds k={k}")
-    # throw k - i + value(i) >= k - maxdrop >= 0
-    return JugglingSequence._trusted(tuple(map(add, range(k - 1, k - 1 - len(v), -1), v)))
+    # throw i is k minus the drop at i, so the least throw is k - maxdrop
+    throws = tuple(map(add, range(k - 1, k - 1 - len(v), -1), v))
+    if min(throws) < 0:
+        raise DropExceedsK(f"maxdrop {k - min(throws)} of {v} exceeds k={k}")
+    return JugglingSequence._trusted(throws)
 
 
 def _remove_ball_word(throws: tuple[int, ...]) -> tuple[int, ...]:

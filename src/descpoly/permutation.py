@@ -80,12 +80,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
     def descent_set(self) -> frozenset[int]:
         """Positions i with value(i) > value(i+1).
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -234,6 +233,15 @@ def test_each_subcommand_takes_only_the_bounds_it_reads(capsys, argv, reads):
     assert {flag for flag in ("--nmax", "--kmax") if flag in usage} == reads
 
 
+def test_unknown_route_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "3", "--k", "1", "--route", "magic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'magic'" in captured.err
+
+
 def test_bad_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "table", "--n", "5:2", "--k", "1")
     assert code == 2
@@ -248,15 +256,13 @@ def test_empty_range_bound_exits_2(capsys, text):
 
 
 def test_table_route_disagreement_exits_1(capsys, monkeypatch):
-    real = cli.descent_poly
+    real = cli.descent_poly_by_closed_form
 
-    def perturbed(n, k, route="rec", cap=10):
-        result = real(n, k, route, cap=cap)
-        if route == "closed" and n == 4:
-            return dataclasses.replace(result, poly=result.poly + IntPoly((0, 1)))
-        return result
+    def perturbed(n, k):
+        poly = real(n, k)
+        return poly + IntPoly((0, 1)) if n == 4 else poly
 
-    monkeypatch.setattr(cli, "descent_poly", perturbed)
+    monkeypatch.setattr(cli, "descent_poly_by_closed_form", perturbed)
     code, out, err = run_cli(capsys, "table", "--n", "3:5", "--k", "2", "--route", "all")
     assert code == 1
     lines = out.splitlines()

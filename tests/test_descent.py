@@ -7,7 +7,6 @@ import pytest
 from descpoly.descent import (
     CapExceeded,
     _kernel_sum,
-    descent_poly,
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
     descent_poly_by_recurrence,
@@ -34,59 +33,61 @@ PP4 = (1, 0, 1, 2, 4, 8, 11, 0, 11, 14, 16, 14, 11, 0, 11, 8, 4, 2, 1, 0, 1)
 
 
 def test_enumeration_examples():
-    assert descent_poly_by_enumeration(3, 1).poly == IntPoly((1, 3))
-    assert descent_poly_by_enumeration(6, 0).poly == IntPoly((1,))
-    assert descent_poly_by_enumeration(4, 3).poly == eulerian_poly(4)
-    assert descent_poly_by_enumeration(0, 0).poly == IntPoly((1,))
+    assert descent_poly_by_enumeration(3, 1) == IntPoly((1, 3))
+    assert descent_poly_by_enumeration(6, 0) == IntPoly((1,))
+    assert descent_poly_by_enumeration(4, 3) == eulerian_poly(4)
+    assert descent_poly_by_enumeration(0, 0) == IntPoly((1,))
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         descent_poly_by_enumeration(11, 1)
-    assert descent_poly_by_enumeration(11, 1, cap=11).poly.evaluate(1) == 2**10
+    assert descent_poly_by_enumeration(11, 1, cap=11).evaluate(1) == 2**10
 
 
 def test_recurrence_examples():
-    assert descent_poly_by_recurrence(2, 1).poly == IntPoly((1, 1))
-    assert descent_poly_by_recurrence(3, 1).poly == IntPoly((1, 3))
+    assert descent_poly_by_recurrence(2, 1) == IntPoly((1, 1))
+    assert descent_poly_by_recurrence(3, 1) == IntPoly((1, 3))
     for i in range(4):
-        assert descent_poly_by_recurrence(i, 3).poly == eulerian_poly(i)
+        assert descent_poly_by_recurrence(i, 3) == eulerian_poly(i)
 
 
 def test_closed_form_examples():
-    assert descent_poly_by_closed_form(3, 1).poly == IntPoly((1, 3))
+    assert descent_poly_by_closed_form(3, 1) == IntPoly((1, 3))
     for k in range(7):
-        assert descent_poly_by_closed_form(k, k).poly == eulerian_poly(k)
+        assert descent_poly_by_closed_form(k, k) == eulerian_poly(k)
     # below the drop bound the Eulerian polynomial comes back directly
-    assert descent_poly_by_closed_form(2, 5).poly == eulerian_poly(2)
+    assert descent_poly_by_closed_form(2, 5) == eulerian_poly(2)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_three_routes_match_brute_force(n):
     for k in range(n):
         expected = bounded_drop_census(n, k)
-        for result in (
-            descent_poly_by_enumeration(n, k),
-            descent_poly_by_recurrence(n, k),
-            descent_poly_by_closed_form(n, k),
+        for route in (
+            descent_poly_by_enumeration,
+            descent_poly_by_recurrence,
+            descent_poly_by_closed_form,
         ):
-            assert list(result.poly.coeffs) == expected, (n, k, result.route)
+            poly = route(n, k)
+            assert isinstance(poly, IntPoly), route.__name__
+            assert list(poly.coeffs) == expected, (n, k, route.__name__)
 
 
 def test_binomial_row():
     for n in range(1, 21):
-        poly = descent_poly_by_closed_form(n, 1).poly
+        poly = descent_poly_by_closed_form(n, 1)
         for d in range(n):
             assert poly.coefficient(d) == comb(n, 2 * d)
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_closed_form_total_far_past_enumeration(k):
-    assert descent_poly_by_closed_form(2000, k).total() == factorial(k) * (k + 1) ** (2000 - k)
+    assert descent_poly_by_closed_form(2000, k).evaluate(1) == factorial(k) * (k + 1) ** (2000 - k)
 
 
 def test_binomial_row_far_past_enumeration():
-    poly = descent_poly_by_closed_form(2000, 1).poly
+    poly = descent_poly_by_closed_form(2000, 1)
     assert poly.coeffs == tuple(comb(2000, 2 * d) for d in range(1001))
 
 
@@ -96,24 +97,17 @@ def test_binomial_row_far_past_enumeration():
 # and descents", Amer. Math. Monthly 101, 1994).
 @pytest.mark.parametrize(("n", "k"), [(300, 10), (1000, 3), (500, 8), (1000, 8), (500, 12)])
 def test_closed_form_matches_recurrence_far_past_enumeration(n, k):
-    assert descent_poly_by_closed_form(n, k).poly == descent_poly_by_recurrence(n, k).poly
+    assert descent_poly_by_closed_form(n, k) == descent_poly_by_recurrence(n, k)
 
 
 @pytest.mark.parametrize(("n", "k"), [(2000, 12), (1000, 20)])
 def test_closed_form_total_at_large_k(n, k):
-    assert descent_poly_by_closed_form(n, k).total() == factorial(k) * (k + 1) ** (n - k)
-
-
-def test_result_metadata():
-    r = descent_poly_by_recurrence(5, 2)
-    assert (r.n, r.k, r.route) == (5, 2, "recurrence")
-    assert r.total() == 2 * 3**3
+    assert descent_poly_by_closed_form(n, k).evaluate(1) == factorial(k) * (k + 1) ** (n - k)
 
 
 def test_descent_poly_dispatch():
-    assert descent_poly(4, 2, route="enum").poly == descent_poly(4, 2, route="closed").poly
-    with pytest.raises(ValueError):
-        descent_poly(4, 2, route="magic")
+    assert descent_poly_by_enumeration(4, 2) == descent_poly_by_closed_form(4, 2)
+    assert descent_poly_by_recurrence(5, 2).evaluate(1) == 2 * 3**3
 
 
 def test_kernel_poly_small():
@@ -189,7 +183,7 @@ def test_kernel_golden_table():
 def test_intro_factorizations():
     for n in range(1, 10):
         lhs = (IntPoly((1, 0, 1)) * geometric(2) ** (n - 1)).multisect(3)
-        assert lhs == descent_poly_by_recurrence(n, 2).poly
+        assert lhs == descent_poly_by_recurrence(n, 2)
     for n in range(2, 10):
         lhs = (IntPoly(PP2) * geometric(3) ** (n - 2)).multisect(4)
-        assert lhs == descent_poly_by_recurrence(n, 3).poly
+        assert lhs == descent_poly_by_recurrence(n, 3)

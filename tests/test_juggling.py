@@ -57,8 +57,10 @@ def test_throw_sequence_examples():
 
 
 def test_throw_sequence_rejects_large_drop():
-    with pytest.raises(DropExceedsK):
-        throw_sequence(Permutation((2, 3, 1)), 1)
+    for k in (1, -1):
+        with pytest.raises(DropExceedsK) as exc:
+            throw_sequence(Permutation((2, 3, 1)), k)
+        assert str(exc.value) == f"maxdrop 2 of (2, 3, 1) exceeds k={k}"
     with pytest.raises(ValueError):
         throw_sequence(Permutation(()), 1)
 
