@@ -270,41 +270,22 @@ def bounded_drop_count(n: int, k: int) -> int:
     return factorial(k) * (k + 1) ** (n - k)
 
 
-def _superset_count_unrestricted(n: int, positions: frozenset[int]) -> int:
-    # permutations of [n] whose descent set contains the given positions:
-    # complementation turns this into a descents-only-allowed count, which is
-    # the multinomial over the blocks cut by the complementary positions
-    if n == 0:
-        return 1
-    blocks = []
-    prev = 0
-    for c in sorted(set(range(1, n)) - positions):
-        blocks.append(c - prev)
-        prev = c
-    blocks.append(n - prev)
-    r = factorial(n)
-    for b in blocks:
-        r //= factorial(b)
-    return r
-
-
 def count_descent_superset(spec: DescentSetSpec, k: int) -> int:
     """Number of maxdrop <= k permutations whose descent set contains the
     positions of ``spec``.
 
-    Peels the forced tail and multiplies by the binomial number of admissible
-    tail sets, in a loop over the shrinking length; the step is valid only
-    while n >= k+1, below which the drop bound is vacuous and the count is the
-    unrestricted multinomial.
+    The cuts, the positions 0..n-1 that are not required, split [n] into
+    blocks: a run of required descents plus the entry after it.  Peeled from
+    the right while m entries remain, a block of length b takes its values in
+    C(min(m, k+1), b) ways.  For m > k these are the tail-peeling binomials
+    C(k+1, b); for m <= k the bound is vacuous and the C(m, b) telescope to
+    the multinomial m!/prod b!.  One pass, O(n) big-integer products.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n, positions, count = spec.n, spec.positions, 1
-    while n > k:
-        i = DescentSetSpec(n, positions).tail_length()
-        count *= comb(k + 1, i + 1)
-        if count == 0:
-            return 0
-        n -= i + 1
-        positions = frozenset(x for x in positions if x <= n - 1)
-    return count * _superset_count_unrestricted(n, positions)
+    n, required, count = spec.n, spec.positions, 1
+    for cut in reversed(range(n)):
+        if cut not in required:
+            count *= comb(min(n, k + 1), n - cut)
+            n = cut
+    return count

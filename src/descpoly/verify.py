@@ -143,18 +143,12 @@ def check_binomial_row(nmax: int, kmax: int) -> CheckResult:
 
 def check_intro_factorizations(nmax: int, kmax: int) -> CheckResult:
     name = f"low-order product factorizations reproduce the k=2 and k=3 polynomials, n <= {nmax}"
-    base2 = IntPoly((1, 0, 1))
-    base3 = IntPoly((1, 0, 1, 2, 1, 0, 1))
-    for n in range(1, nmax + 1):
-        got = base2.product(geometric(2) ** (n - 1), 3)
-        want = descent_poly_by_recurrence(n, 2)
-        if got != want:
-            return _fail(name, f"k=2 n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}")
-    for n in range(2, nmax + 1):
-        got = base3.product(geometric(3) ** (n - 2), 4)
-        want = descent_poly_by_recurrence(n, 3)
-        if got != want:
-            return _fail(name, f"k=3 n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}")
+    for k, base, n0 in (2, IntPoly((1, 0, 1)), 1), (3, IntPoly((1, 0, 1, 2, 1, 0, 1)), 2):
+        for n in range(n0, nmax + 1):
+            got = base.product(geometric(k) ** (n - n0), k + 1)
+            want = descent_poly_by_recurrence(n, k)
+            if got != want:
+                return _fail(name, f"k={k} n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}")
     return _ok(name)
 
 

@@ -1,12 +1,13 @@
 """Independent oracles used only by the tests.
 
 The counts go through the full symmetric group, so they stay honest at the
-cost of n! work, and the formulas are ones the library does not use; the
-library must never import this module (``tests/test_oracle_imports.py``).
+cost of n! work, and the formulas (the alternating sum, the multinomial for
+an unbounded drop) are ones the library does not use; the library must never
+import this module (``tests/test_oracle_imports.py``).
 """
 
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 
 def eulerian_number(n: int, k: int) -> int:
@@ -46,6 +47,18 @@ def descent_superset_by_filter(n: int, positions, k: int) -> int:
     """Number of maxdrop <= k permutations of [n] whose descent set contains
     ``positions``, found by filtering the symmetric group."""
     return sum(all(p[i - 1] > p[i] for i in positions) for p in bounded_drop_by_filter(n, k))
+
+
+def descent_superset_multinomial(n: int, positions) -> int:
+    """Number of permutations of [n], with no drop bound, whose descent set
+    contains ``positions``: the multinomial n!/prod b! over the blocks cut by
+    the other positions (Stanley's alpha_n, *Enumerative Combinatorics* vol. 1,
+    2nd ed., section 1.4)."""
+    cuts = [c for c in range(1, n) if c not in positions]
+    r = factorial(n)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        r //= factorial(hi - lo)
+    return r
 
 
 def bounded_drop_census(n: int, k: int) -> list[int]:

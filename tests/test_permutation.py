@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +18,13 @@ from descpoly.permutation import (
     unstandardize,
 )
 
-from oracles import bounded_drop_by_filter, bubble_pass, descent_superset_by_filter, stack_pass
+from oracles import (
+    bounded_drop_by_filter,
+    bubble_pass,
+    descent_superset_by_filter,
+    descent_superset_multinomial,
+    stack_pass,
+)
 
 
 def test_constructor_rejects_non_permutations():
@@ -296,13 +303,39 @@ def test_count_descent_superset_far_past_recursion_limit(k):
     assert count_descent_superset(DescentSetSpec(n, ()), k) == bounded_drop_count(n, k)
 
 
+def test_count_descent_superset_at_scale_with_required_positions():
+    # 2,000 blocks of length 2; the leftmost has C(2, 2) = 1 choice, the rest
+    # C(4, 2) = 6 at k = 3, and none can descend at k = 0
+    spec = DescentSetSpec(4000, range(1, 4000, 2))
+    assert count_descent_superset(spec, 3) == 6**1999
+    assert count_descent_superset(spec, 0) == 0
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_count_descent_superset_exhaustive(n):
-    for k in range(n + 1):
+    for k in range(n + 2):
         for S in _subsets(range(1, n)):
             spec = DescentSetSpec(n, S)
             want = descent_superset_by_filter(n, S, k)
             assert count_descent_superset(spec, k) == want, (n, k, sorted(S))
+            if k >= n - 1:
+                assert descent_superset_multinomial(n, S) == want, (n, k, sorted(S))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 128, 300])
+def test_count_descent_superset_vacuous_bound_is_the_multinomial(n):
+    # at k >= n-1 no permutation of [n] drops by more than k
+    rng = random.Random(n)
+    for positions in [
+        (),
+        range(1, n),
+        range(1, n, 2),
+        [i for i in range(1, n) if rng.random() < 0.5],
+    ]:
+        spec = DescentSetSpec(n, positions)
+        want = descent_superset_multinomial(n, spec.positions)
+        for k in (n - 1, n, n + 5):
+            assert count_descent_superset(spec, k) == want, (n, k, sorted(spec.positions))
 
 
 def test_standardization_check_can_fail(monkeypatch):
