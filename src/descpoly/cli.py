@@ -16,7 +16,7 @@ import csv
 import functools
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from typing import NamedTuple
 
@@ -52,12 +52,49 @@ class Record(NamedTuple):
     failure: str | None = None
 
 
-def _json_default(obj: object) -> list:
-    if isinstance(obj, IntPoly):
-        return [str(c) for c in obj.coeffs]
+# exact types, so a whole container of them goes to the C encoder in one call;
+# a subclass takes the per-item path, which encodes it the same way
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(inner: str) -> json.JSONEncoder:
+    # without indent= the C encoder runs; the item separator carries the indent
+    return json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True)
+
+
+def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would,
+    reading an IntPoly as the list of its coefficients in decimal strings and
+    an iterator as a list.  Each container is one step: the C encoder writes
+    one whose values are all scalars, the others recurse."""
+    inner = indent + "  "
+    if isinstance(obj, IntPoly):  # decimal digits and a sign need no escaping
+        if not obj.coeffs:
+            write("[]")
+            return
+        # three writes, so the digits are never copied into a larger string
+        write(f'[\n{inner}"')
+        write(f'",\n{inner}"'.join(map(str, obj.coeffs)))
+        write(f'"\n{indent}]')
+        return
     if isinstance(obj, Iterator):
-        return list(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = list(obj)
+    keyed = isinstance(obj, dict)
+    if keyed and not all(isinstance(key, str) for key in obj):
+        raise TypeError(f"JSON keys must be str: {list(obj)}")
+    encoder = _encoder(inner)
+    if not isinstance(obj, (dict, list, tuple)):
+        write(encoder.encode(obj))
+    elif _SCALARS.issuperset(map(type, obj.values() if keyed else obj)):
+        body = encoder.encode(obj)  # an empty container stays [] or {}
+        write(body if len(body) == 2 else f"{body[0]}\n{inner}{body[1:-1]}\n{indent}{body[-1]}")
+    else:
+        write("{" if keyed else "[")
+        for i, key in enumerate(sorted(obj) if keyed else range(len(obj))):
+            write((",\n" if i else "\n") + inner + (encoder.encode(key) + ": " if keyed else ""))
+            _write_json(obj[key], write, inner)
+        write(f"\n{indent}{'}' if keyed else ']'}")
 
 
 def emit(fmt: str, record: Record) -> int:
@@ -68,7 +105,8 @@ def emit(fmt: str, record: Record) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            print(json.dumps(record.doc, indent=2, sort_keys=True, default=_json_default))
+            _write_json(record.doc, sys.stdout.write)
+            sys.stdout.write("\n")
         elif fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(record.header)

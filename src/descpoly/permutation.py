@@ -134,12 +134,15 @@ def _ranks(word: Sequence[int]) -> Permutation:
 
 
 def unstandardize(p: Permutation, ground: Iterable[int]) -> tuple[int, ...]:
-    """Inverse of :func:`standardize` onto the given ground set.
+    """Inverse of :func:`standardize` onto the given ground set; a repeated
+    ground value raises ``ValueError``.
 
     >>> unstandardize(Permutation((1, 5, 3, 4, 2)), {1, 2, 4, 5, 9})
     (1, 9, 4, 5, 2)
     """
-    g = sorted(set(ground))
+    g = sorted(ground)
+    if len(set(g)) != len(g):
+        raise ValueError(f"ground values must be distinct: {g}")
     if len(g) != p.n:
         raise ValueError(f"ground set of size {len(g)} for a permutation of length {p.n}")
     return tuple(g[v - 1] for v in p.values)
@@ -192,13 +195,16 @@ def detach_tail(p: Permutation, spec: DescentSetSpec) -> tuple[Permutation, froz
 
 def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
     """Inverse of :func:`detach_tail`: relabel ``p`` into the complement of
-    ``tail`` inside [1, n] and append ``tail`` in decreasing order.
+    ``tail`` inside [1, n] and append ``tail`` in decreasing order; a
+    repeated tail value raises ``ValueError``.
 
     >>> attach_tail(Permutation((3, 1, 4, 2)), {4, 6, 7}).values
     (3, 1, 5, 2, 7, 6, 4)
     """
-    xset = set(map(index, tail))
-    xs = sorted(xset)
+    xs = sorted(map(index, tail))
+    xset = set(xs)
+    if len(xset) != len(xs):
+        raise ValueError(f"tail values must be distinct: {xs}")
     if not xs:
         raise ValueError("tail must be nonempty")
     n = len(p.values) + len(xs)

@@ -2,12 +2,17 @@
 
 The counts go through the full symmetric group, so they stay honest at the
 cost of n! work, and the formulas (the alternating sum, the multinomial for
-an unbounded drop) are ones the library does not use; the library must never
-import this module (``tests/test_oracle_imports.py``).
+an unbounded drop) are ones the library does not use; nor is the JSON
+reference encoder, the standard library's own pretty printer.  The library
+must never import this module (``tests/test_oracle_imports.py``).
 """
 
+import json
+from collections.abc import Iterator
 from itertools import permutations
 from math import comb, factorial
+
+from descpoly.polynomial import IntPoly
 
 
 def eulerian_number(n: int, k: int) -> int:
@@ -100,3 +105,18 @@ def remove_ball_word(seg: tuple) -> tuple:
         raise ValueError(f"ambiguous latest landing in {seg}")
     j = landings.index(top)
     return remove_ball_word(seg[:j]) + seg[j + 1 :] + (top - len(seg) - 1,)
+
+
+def _json_default(obj: object) -> list:
+    if isinstance(obj, IntPoly):
+        return [str(c) for c in obj.coeffs]
+    if isinstance(obj, Iterator):
+        return list(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def json_text(doc: object) -> str:
+    """The CLI's JSON for ``doc``, without the final newline, by
+    ``json.dumps(indent=2, sort_keys=True)``: an IntPoly is the list of its
+    coefficients in decimal strings, an iterator a list."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)

@@ -344,7 +344,7 @@ def _raise(*args, **kwargs):
 )
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
 def test_plain_and_csv_never_encode_json(capsys, monkeypatch, argv, fmt):
-    monkeypatch.setattr(json, "dumps", _raise)
+    monkeypatch.setattr(cli, "_write_json", _raise)
     code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
     assert code == 0
     assert out

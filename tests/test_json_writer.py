@@ -1,0 +1,130 @@
+"""``--format json`` is streamed by ``cli._write_json``, one container at a
+time; these tests hold it to the text of the standard library's pretty
+printer, ``oracles.json_text``, byte for byte."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import json_text
+
+from descpoly import cli
+from descpoly.polynomial import IntPoly
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+# a usage error prints no document
+JSON_ARGVS = [c["argv"] for c in GOLDEN if "--format json" in c["argv"] and c["exit"] != 2]
+
+
+def _written(doc) -> str:
+    pieces: list[str] = []
+    cli._write_json(doc, pieces.append)
+    return "".join(pieces)
+
+
+def _doc(argv: str) -> dict:
+    # a fresh record each call: a document may hold one-shot iterators
+    args = cli._parser().parse_args(argv.split())
+    return args.func(args).doc
+
+
+def test_the_golden_cases_include_json():
+    assert len(JSON_ARGVS) >= 9
+    assert {a.split()[0] for a in JSON_ARGVS} == {"table", "poly", "gf", "juggle", "verify"}
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS)
+def test_writer_matches_json_dumps_on_the_golden_documents(argv):
+    assert _written(_doc(argv)) == json_text(_doc(argv))
+
+
+class Lazy(tuple):
+    """Stands for an iterator over its items, built afresh for each encoder."""
+
+
+def _realise(tree):
+    if isinstance(tree, Lazy):
+        return iter([_realise(v) for v in tree])
+    if isinstance(tree, dict):
+        return {k: _realise(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_realise(v) for v in tree)
+    return tree
+
+
+# quotes, backslashes, control characters, non-ASCII in and past the BMP, a lone surrogate
+TEXT = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1fé€𝄞\ud800'))
+COEFF = st.integers() | st.integers(-3, 3).map(lambda c: c * 10**4400 - 7 * c)
+SCALAR = (
+    TEXT
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.floats()
+    | st.lists(COEFF, max_size=6).map(IntPoly)
+)
+TREES = st.recursive(
+    SCALAR,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=4).map(Lazy)
+        | st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_writer_matches_json_dumps_on_cli_shaped_documents(tree):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as emit does: coefficients may pass 4,300 digits
+    try:
+        assert _written(_realise(tree)) == json_text(_realise(tree))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: "a"}, {"a": 1, 2: "b"}, {"a": [{None: 1}]}, {"a": {(1, 2): IntPoly((1,))}}],
+    ids=["int", "mixed", "nested-none", "tuple"],
+)
+def test_a_key_that_is_not_a_string_raises(doc):
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+def test_an_object_json_cannot_encode_raises():
+    with pytest.raises(TypeError):
+        _written({"a": [object()]})
+
+
+def test_emit_streams_the_document_in_pieces(capsys, monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    assert cli.main(["gf", "--k", "2", "--order", "60", "--format", "json"]) == 0
+    text = "".join(writes)
+    assert text == json_text(_doc("gf --k 2 --order 60")) + "\n"
+    # no piece is the document: the largest holds one series polynomial
+    assert max(map(len, writes)) < len(text) / 10
+
+
+def test_emit_lifts_the_digit_limit_around_the_writer(capsys):
+    big, digits = 10**5000 + 1, "1" + "0" * 4999 + "1"
+    record = cli.Record({"p": IntPoly((-big, 0, big)), "n": big}, [], [], [])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = cli.emit("json", record)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = json.loads(capsys.readouterr().out, parse_int=str)
+    assert code == 0
+    assert doc == {"n": digits, "p": ["-" + digits, "0", digits]}
+

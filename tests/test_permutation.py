@@ -144,6 +144,11 @@ def test_unstandardize():
     assert unstandardize(Permutation((3, 1, 4, 2)), {1, 2, 3, 5}) == (3, 1, 5, 2)
     with pytest.raises(ValueError):
         unstandardize(Permutation((1, 2)), {1, 2, 3})
+    # a repeated ground value is rejected, not collapsed onto a smaller set
+    with pytest.raises(ValueError, match="distinct"):
+        unstandardize(Permutation((2, 1)), [5, 5, 7])
+    with pytest.raises(ValueError, match="distinct"):
+        unstandardize(Permutation((2, 1)), [5, 5])
 
 
 @given(
@@ -231,6 +236,11 @@ def test_attach_tail_validates():
         attach_tail(Permutation((1, 2)), set())
     with pytest.raises(ValueError):
         attach_tail(Permutation((1, 2)), {9})
+    # a repeated tail value is rejected, not collapsed onto a shorter tail
+    with pytest.raises(ValueError, match="distinct"):
+        attach_tail(Permutation((1, 2)), [3, 3])
+    with pytest.raises(ValueError, match="distinct"):
+        attach_tail(Permutation((1,)), iter([2, 2]))
 
 
 def _subsets(items):
