@@ -219,12 +219,13 @@ def _spaced(values: Iterable[int]) -> str:
 
 
 def _cmd_juggle(args: argparse.Namespace) -> Record:
-    values = tuple(int(s) for s in args.perm.split(","))
+    values = tuple(map(int, args.perm.split(",")))
     p = Permutation(values)
     T = throw_sequence(p, args.k)
-    valid, balls = T.is_valid(), T.ball_count()
+    valid = T.is_valid()
+    balls = T.ball_count() if valid else None
     reduced = expected = None
-    if balls >= 1:
+    if balls:  # a valid sequence with a ball to remove
         reduced = remove_ball(T)
         expected = throw_sequence(p.bsort(), args.k - 1)
     crosscheck = "n/a" if reduced is None else "ok" if reduced == expected else "mismatch"
@@ -237,7 +238,8 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
         yield f"perm: {values}"
         yield f"throws: {T.throws}"
         yield f"valid: {str(valid).lower()}"
-        yield f"balls: {balls}"
+        if valid:
+            yield f"balls: {balls}"
         if reduced is not None:
             yield f"one ball removed: {reduced.throws}"
         yield f"bubble crosscheck: {crosscheck}"
@@ -254,7 +256,9 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
     }
     header = ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"]
     failure = None
-    if crosscheck == "mismatch":
+    if not valid:
+        failure = f"encoding: not a valid juggling sequence: {T.throws}"
+    elif crosscheck == "mismatch":
         failure = (
             f"bubble crosscheck: mismatch: one ball removed gives {reduced.throws}, "
             f"the bubble-sorted permutation encodes {expected.throws}"

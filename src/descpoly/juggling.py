@@ -9,7 +9,7 @@ the mean throw height.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, index, sub
 
 from .permutation import Permutation, _bsort_word
@@ -25,9 +25,12 @@ class JugglingSequence:
 
     The constructor passes each height through ``operator.index`` (a float
     raises ``TypeError``, a bool becomes an int) and rejects negative ones.
+    Validity is computed once per sequence, by the first ``is_valid`` call,
+    and kept in ``_valid``, which takes no part in equality, hashing or repr.
     """
 
     throws: tuple[int, ...]
+    _valid: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, throws: Iterable[int]):
         ts = tuple(map(index, throws))
@@ -35,14 +38,18 @@ class JugglingSequence:
             raise ValueError("a juggling sequence needs period >= 1")
         if min(ts) < 0:
             raise ValueError(f"throw heights must be nonnegative integers: {ts}")
-        object.__setattr__(self, "throws", ts)
+        # the slot descriptors, not object.__setattr__, which costs more per
+        # call on the verify suites' tens of thousands of sequences
+        _set_throws(self, ts)
+        _set_valid(self, None)
 
     @classmethod
     def _trusted(cls, throws: tuple[int, ...]) -> JugglingSequence:
         # no check: only for a nonempty tuple of nonnegative ints built as
         # one; outside input goes through __init__
         T = object.__new__(cls)
-        object.__setattr__(T, "throws", throws)
+        _set_throws(T, throws)
+        _set_valid(T, None)
         return T
 
     @property
@@ -55,14 +62,22 @@ class JugglingSequence:
         >>> JugglingSequence((3, 5, 0, 2, 0)).is_valid()
         True
         """
-        n = self.period
-        return len({(t + i + 1) % n for i, t in enumerate(self.throws)}) == n
+        valid = self._valid
+        if valid is None:
+            n = self.period
+            valid = len({(t + i + 1) % n for i, t in enumerate(self.throws)}) == n
+            _set_valid(self, valid)
+        return valid
 
     def ball_count(self) -> int:
         """Mean throw height; defined only for valid sequences."""
         if not self.is_valid():
             raise ValueError(f"not a valid juggling sequence: {self.throws}")
         return sum(self.throws) // self.period
+
+
+_set_throws = JugglingSequence.throws.__set__
+_set_valid = JugglingSequence._valid.__set__
 
 
 def throw_sequence(p: Permutation, k: int) -> JugglingSequence:

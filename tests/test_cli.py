@@ -296,6 +296,30 @@ def test_juggle_crosscheck_mismatch_exits_1(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_juggle_invalid_encoding_exits_1(capsys, monkeypatch, fmt):
+    # (2, 2, 0) lands at 3, 4, 3: two throws land together
+    monkeypatch.setattr(cli, "throw_sequence", lambda p, k: JugglingSequence((2, 2, 0)))
+    monkeypatch.setattr(cli, "remove_ball", lambda T: pytest.fail("removed a ball"))
+    code, out, err = run_cli(capsys, "juggle", "--perm", "3,2,1", "--k", "2", "--format", fmt)
+    assert code == 1
+    assert err == "encoding: not a valid juggling sequence: (2, 2, 0)\n"
+    if fmt == "plain":
+        assert out.splitlines() == [
+            "perm: (3, 2, 1)", "throws: (2, 2, 0)", "valid: false", "bubble crosscheck: n/a"
+        ]
+    elif fmt == "json":
+        assert json.loads(out) == {
+            "command": "juggle", "perm": [3, 2, 1], "k": 2, "throws": [2, 2, 0],
+            "valid": False, "balls": None, "reduced": None, "crosscheck": "n/a",
+        }
+    else:
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"],
+            ["3 2 1", "2", "2 2 0", "False", "", "", "n/a"],
+        ]
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     results = [CheckResult("a claim", True), CheckResult("b claim", False, "at n=2")]
     monkeypatch.setattr(cli, "run_suite", lambda suite, nmax, kmax: results)

@@ -1,8 +1,14 @@
+import copy
+import csv
+import io
+import pickle
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
+from descpoly import juggling
 from descpoly.cli import main
 from descpoly.juggling import (
     DropExceedsK,
@@ -13,7 +19,7 @@ from descpoly.juggling import (
 )
 from descpoly.permutation import Permutation, _bsort_word, enumerate_bounded_drop
 
-from oracles import remove_ball_word
+from oracles import bubble_pass, json_text, max_drop, remove_ball_word
 
 
 def test_constructor_validates():
@@ -46,8 +52,39 @@ def test_validity():
 
 
 def test_ball_count_requires_validity():
-    with pytest.raises(ValueError):
-        JugglingSequence((2, 1)).ball_count()
+    # the kept verdict is False, and every call still raises
+    T = JugglingSequence((2, 1))
+    for _ in range(3):
+        assert not T.is_valid()
+        with pytest.raises(ValueError, match=r"not a valid juggling sequence: \(2, 1\)"):
+            T.ball_count()
+
+
+@pytest.mark.parametrize("throws", [(3, 5, 0, 2, 0), (2, 1), (0,)])
+def test_validity_memo_is_invisible(throws):
+    used = JugglingSequence(throws)
+    verdict = used.is_valid()
+    fresh = JugglingSequence(throws)
+    twins = [used, copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))]
+    for twin in twins:
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert repr(twin) == repr(fresh) == f"JugglingSequence(throws={throws})"
+    assert [twin.is_valid() for twin in twins] == [verdict] * 4 == [fresh.is_valid()] * 4
+
+
+def test_one_juggle_command_computes_validity_once(capsys, monkeypatch):
+    # the landing-set test is the module's one enumerate call; record each
+    seen = []
+
+    def counted(throws):
+        seen.append(throws)
+        return enumerate(throws)
+
+    monkeypatch.setattr(juggling, "enumerate", counted, raising=False)
+    for fmt in ("plain", "json", "csv"):
+        seen.clear()
+        assert main(["juggle", "--perm", "3,2,1", "--k", "2", "--format", fmt]) == 0
+        assert seen == [(4, 2, 0)], fmt
 
 
 def test_throw_sequence_examples():
@@ -154,3 +191,56 @@ def test_remove_ball_commutes_with_bubble_pass(n):
             lhs = remove_ball(throw_sequence(p, k))
             rhs = throw_sequence(p.bsort(), k - 1)
             assert lhs == rhs, (p.values, k)
+
+
+def _bounded_drop_sample(n, k, rng):
+    # right to left, position i may hold any of the min(k + 1, i) largest
+    # unused values, and only those keep the drop at i within k
+    unused = list(range(1, n + 1))
+    picked = [unused.pop(len(unused) - 1 - rng.randrange(min(k + 1, i))) for i in range(n, 0, -1)]
+    return tuple(reversed(picked))
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_juggle_at_benchmark_scale(capsys, k):
+    n = 2048
+    values = _bounded_drop_sample(n, k, random.Random(1000 + k))
+    assert max_drop(values) == k
+    throws = tuple(k - i + v for i, v in enumerate(values, 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * n)  # the oracles recurse once per element
+    try:
+        reduced = remove_ball_word(throws)
+        sorted_once = bubble_pass(values)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert reduced == tuple(k - 1 - i + v for i, v in enumerate(sorted_once, 1))
+
+    argv = ["juggle", "--perm", ",".join(map(str, values)), "--k", str(k)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"perm: {values}",
+        f"throws: {throws}",
+        "valid: true",
+        f"balls: {k}",
+        f"one ball removed: {reduced}",
+        "bubble crosscheck: ok",
+    ]
+    assert main([*argv, "--format", "json"]) == 0
+    doc = {
+        "command": "juggle",
+        "perm": values,
+        "k": k,
+        "throws": throws,
+        "valid": True,
+        "balls": k,
+        "reduced": reduced,
+        "crosscheck": "ok",
+    }
+    assert capsys.readouterr().out == json_text(doc) + "\n"
+    assert main([*argv, "--format", "csv"]) == 0
+    spaced = [" ".join(map(str, w)) for w in (values, throws, reduced)]
+    assert list(csv.reader(io.StringIO(capsys.readouterr().out))) == [
+        ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"],
+        [spaced[0], str(k), spaced[1], "True", str(k), spaced[2], "ok"],
+    ]
