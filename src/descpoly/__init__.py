@@ -38,7 +38,7 @@ from .permutation import (
     standardize,
     unstandardize,
 )
-from .polynomial import IntPoly, NegativeExponentResidue, geometric
+from .polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,7 @@ __all__ = [
     "NegativeExponentResidue",
     "Permutation",
     "RationalBivariateGF",
+    "UsageError",
     "ab_identity_residual",
     "attach_tail",
     "bounded_drop_count",

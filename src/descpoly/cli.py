@@ -3,9 +3,9 @@ polynomials, generating functions, siteswap transforms, and the verification
 suites.
 
 Each subcommand computes its results once, into a :class:`Record`, and
-:func:`emit` prints the one format asked for.  Exit codes: 0 success, 1
-verification or cross-check failure (named in one line on stderr), 2 usage
-or parse error.  All JSON coefficient arrays carry integers as decimal
+:func:`emit` prints the one format asked for.  Exit codes: 0 success, 1 a
+failed cross-check or any other fault (named in one line on stderr), 2 a
+``UsageError``.  All JSON coefficient arrays carry integers as decimal
 strings so arbitrarily large values survive a round trip.
 """
 
@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from .descent import (
@@ -33,7 +33,7 @@ from .descent import (
 from .genfunc import descent_gf
 from .juggling import remove_ball, throw_sequence
 from .permutation import Permutation
-from .polynomial import IntPoly
+from .polynomial import IntPoly, UsageError
 from .verify import SUITES, CheckResult, run_suite
 
 USAGE_ERROR = 2
@@ -41,9 +41,8 @@ CHECK_FAILED = 1
 
 
 class Record(NamedTuple):
-    """One subcommand's results, ready for any format.  ``rows`` (CSV) and
-    ``lines`` (plain) are lazy iterators, so a format that is not asked for
-    is never built; ``failure`` names a failed cross-check."""
+    """One subcommand's results for any format: ``rows`` (CSV) and ``lines`` (plain) are
+    lazy, but ``table``'s rows are tuples every format reads; ``failure`` is a failed check."""
 
     doc: dict
     header: list[str]
@@ -52,22 +51,23 @@ class Record(NamedTuple):
     failure: str | None = None
 
 
-# exact types, so a whole container of them goes to the C encoder in one call;
-# a subclass takes the per-item path, which encodes it the same way
+# exact types, so a whole container of them is one C-encoder call: no indent=, the item
+# separator carries it, and [] or {} stays as is; a subclass takes the per-item path
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_JSON = json.JSONEncoder()  # for a scalar or a key, which no separator reaches
 
 
-@functools.cache
-def _encoder(inner: str) -> json.JSONEncoder:
-    # without indent= the C encoder runs; the item separator carries the indent
-    return json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True)
+def _flat_rows(items: list | tuple) -> bool:  # exact, non-empty dicts of str: scalar
+    keys, values = chain.from_iterable(items), chain.from_iterable(map(dict.values, items))
+    rows = {dict}.issuperset(map(type, items)) and all(items)
+    return rows and {str}.issuperset(map(type, keys)) and _SCALARS.issuperset(map(type, values))
 
 
 def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would,
     reading an IntPoly as the list of its coefficients in decimal strings and
     an iterator as a list.  Each container is one step: the C encoder writes
-    one whose values are all scalars, the others recurse."""
+    one of scalars, or a list of flat rows, in one call; the others recurse."""
     inner = indent + "  "
     if isinstance(obj, IntPoly):  # decimal digits and a sign need no escaping
         if not obj.coeffs:
@@ -83,16 +83,22 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
     keyed = isinstance(obj, dict)
     if keyed and not all(isinstance(key, str) for key in obj):
         raise TypeError(f"JSON keys must be str: {list(obj)}")
-    encoder = _encoder(inner)
     if not isinstance(obj, (dict, list, tuple)):
-        write(encoder.encode(obj))
+        write(_JSON.encode(obj))
     elif _SCALARS.issuperset(map(type, obj.values() if keyed else obj)):
-        body = encoder.encode(obj)  # an empty container stays [] or {}
+        body = json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True).encode(obj)
         write(body if len(body) == 2 else f"{body[0]}\n{inner}{body[1:-1]}\n{indent}{body[-1]}")
+    elif not keyed and _flat_rows(obj):  # no string has a raw newline; rows meet at "},\n<indent>{"
+        encoder = json.JSONEncoder(separators=(f",\n{inner}  ", ": "), sort_keys=True)
+        for i in range(0, len(obj), 1024):  # a batch of rows per call bounds the text in hand
+            body = encoder.encode(obj[i : i + 1024])[2:-2]
+            body = body.replace(f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
+            write(f"{',' if i else '['}\n{inner}{{\n{inner}  {body}\n{inner}}}")
+        write(f"\n{indent}]")
     else:
         write("{" if keyed else "[")
         for i, key in enumerate(sorted(obj) if keyed else range(len(obj))):
-            write((",\n" if i else "\n") + inner + (encoder.encode(key) + ": " if keyed else ""))
+            write((",\n" if i else "\n") + inner + (_JSON.encode(key) + ": " if keyed else ""))
             _write_json(obj[key], write, inner)
         write(f"\n{indent}{'}' if keyed else ']'}")
 
@@ -108,12 +114,9 @@ def emit(fmt: str, record: Record) -> int:
             _write_json(record.doc, sys.stdout.write)
             sys.stdout.write("\n")
         elif fmt == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(record.header)
-            writer.writerows(record.rows)
+            csv.writer(sys.stdout, lineterminator="\n").writerows(chain([record.header], record.rows))
         else:
-            for line in record.lines:
-                print(line)
+            sys.stdout.writelines(map("{}\n".format, record.lines))
     finally:
         sys.set_int_max_str_digits(digit_limit)
     if record.failure is None:
@@ -124,16 +127,17 @@ def emit(fmt: str, record: Record) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, colon, hi = text.partition(":")
-    a = int(lo or -1)  # an empty bound reads as -1, which the check rejects
-    b = int(hi or -1) if colon else a
+    try:  # an empty bound reads as -1, which the check below rejects
+        a, b = int(lo or -1), int((hi if colon else lo) or -1)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     if a < 0 or b < a:
-        raise ValueError(f"bad range {text!r}")
+        raise UsageError(f"bad range {text!r}")
     return a, b
 
 
 def _cmd_table(args: argparse.Namespace) -> Record:
     n_lo, n_hi = _parse_range(args.n)
-    k = args.k
     # built per call from the module globals, so a patched route is the one run
     by_name = {
         "enum": functools.partial(descent_poly_by_enumeration, cap=args.nmax),
@@ -142,24 +146,20 @@ def _cmd_table(args: argparse.Namespace) -> Record:
     }
     routes = list(by_name) if args.route == "all" else [args.route]
     header = ["n", "k", "r", "value"] + (["agree"] if args.route == "all" else [])
-    rows = []
-    failure = None
+    rows, failure = [], None
     for n in range(n_lo, n_hi + 1):
-        polys = {route: by_name[route](n, k) for route in routes}
+        polys = {route: by_name[route](n, args.k) for route in routes}
         agree = len({p.coeffs for p in polys.values()}) == 1
         if not agree and failure is None:
             coeffs = {r: list(p.coeffs) for r, p in polys.items()}
-            failure = f"route disagreement at n={n} k={k}: {coeffs}"
-        shown = polys[routes[0]]
-        for r in range(max(len(shown.coeffs), 1)):
-            # zip drops the agree flag when there is no agree column
-            rows.append(dict(zip(header, (n, k, r, shown.coefficient(r), agree))))
+            failure = f"route disagreement at n={n} k={args.k}: {coeffs}"
+        columns = (repeat(n), repeat(args.k), count(), polys[routes[0]].coeffs or (0,), repeat(agree))
+        rows += zip(*columns[: len(header)])  # the agree flag only under its column
 
-    json_rows = (dict(row, value=str(row["value"])) for row in rows)  # lazy, for emit
+    json_rows = (dict(zip(header, row), value=str(row[3])) for row in rows)  # lazy, for emit
     doc = {"command": "table", "route": args.route, "rows": json_rows}
-    cells = (list(row.values()) for row in rows)
-    plain = (" ".join(str(v).lower() for v in row.values()) for row in rows)
-    return Record(doc, header, cells, chain(["# " + " ".join(header)], plain), failure)
+    plain = (" ".join(map(str, row)).lower() for row in rows)
+    return Record(doc, header, rows, chain(["# " + " ".join(header)], plain), failure)
 
 
 def _kernel(k: int, which: str, construction: str) -> IntPoly:
@@ -178,11 +178,11 @@ def _kernel(k: int, which: str, construction: str) -> IntPoly:
 def _cmd_poly(args: argparse.Namespace) -> Record:
     k, which = args.k, args.which
     if k > args.kmax:
-        raise ValueError(f"k={k} exceeds cap {args.kmax} (raise with --kmax)")
+        raise UsageError(f"k={k} exceeds cap {args.kmax} (raise with --kmax)")
     if args.construction == "all":
         names = ["formula"] if k == 0 else ["formula", "stretch", "duplication"]
     elif k == 0 and args.construction != "formula":
-        raise ValueError(f"construction {args.construction!r} needs k >= 1")
+        raise UsageError(f"construction {args.construction!r} needs k >= 1")
     else:
         names = [args.construction]
     built = {name: _kernel(k, which, name) for name in names}
@@ -208,10 +208,10 @@ def _cmd_gf(args: argparse.Namespace) -> Record:
     parts = dict(numerator=gf.numerator, denominator=gf.denominator, series=gf.series(args.order))
     terms = [(part, zpow, p) for part, polys in parts.items() for zpow, p in enumerate(polys)]
     doc = {"command": "gf", "k": args.k, "order": args.order, **parts}
-    header = ["part", "zpow", "ypow", "value"]
-    cells = ([part, zpow, ypow, c] for part, zpow, p in terms for ypow, c in enumerate(p.coeffs))
+    cells = (zip(repeat(part), repeat(zpow), count(), p.coeffs) for part, zpow, p in terms)
     plain = (f"{part} z^{zpow}: {p.pretty('y')}" for part, zpow, p in terms)
-    return Record(doc, header, cells, chain([f"# generating function, k={args.k}"], plain))
+    lines = chain([f"# generating function, k={args.k}"], plain)
+    return Record(doc, ["part", "zpow", "ypow", "value"], chain.from_iterable(cells), lines)
 
 
 def _spaced(values: Iterable[int]) -> str:
@@ -219,8 +219,10 @@ def _spaced(values: Iterable[int]) -> str:
 
 
 def _cmd_juggle(args: argparse.Namespace) -> Record:
-    values = tuple(map(int, args.perm.split(",")))
-    p = Permutation(values)
+    try:  # integers that are not a permutation of 1..n are the user's error too
+        p = Permutation(map(int, args.perm.split(",")))
+    except ValueError as exc:
+        raise UsageError(exc) from None
     T = throw_sequence(p, args.k)
     valid = T.is_valid()
     balls = T.ball_count() if valid else None
@@ -232,10 +234,10 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
 
     def cells():
         removed = _spaced(reduced.throws) if reduced else ""
-        yield [_spaced(values), args.k, _spaced(T.throws), valid, balls, removed, crosscheck]
+        yield [_spaced(p.values), args.k, _spaced(T.throws), valid, balls, removed, crosscheck]
 
     def lines():
-        yield f"perm: {values}"
+        yield f"perm: {p.values}"
         yield f"throws: {T.throws}"
         yield f"valid: {str(valid).lower()}"
         if valid:
@@ -246,7 +248,7 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
 
     doc = {
         "command": "juggle",
-        "perm": values,
+        "perm": p.values,
         "k": args.k,
         "throws": T.throws,
         "valid": valid,
@@ -351,11 +353,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        record = args.func(args)
-    except ValueError as exc:  # CapExceeded and DropExceedsK included
+        return emit(args.format, args.func(args))
+    except UsageError as exc:  # CapExceeded and DropExceedsK included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return emit(args.format, record)
+    except Exception as exc:  # a fault is named as a failed check is, never a usage error
+        print(f"FAIL {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

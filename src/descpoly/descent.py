@@ -18,10 +18,10 @@ from math import comb
 from .eulerian import eulerian_poly
 from .genfunc import descent_gf
 from .permutation import bounded_drop_words
-from .polynomial import IntPoly, NegativeExponentResidue, geometric
+from .polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
 
 
-class CapExceeded(ValueError):
+class CapExceeded(UsageError):
     """Enumeration was requested beyond its configured size cap."""
 
 
@@ -30,7 +30,7 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> IntPoly:
     descents) by an exact census of the bounded-drop class; refuses n beyond
     ``cap`` since the work grows like k!(k+1)^(n-k)."""
     if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+        raise UsageError("n and k must be nonnegative")
     if n > cap:
         raise CapExceeded(f"enumeration for n={n} exceeds cap {cap}")
     counts = [0] * max(n, 1)
@@ -45,7 +45,7 @@ def descent_poly_by_recurrence(n: int, k: int) -> IntPoly:
     conditions: the generating function's (memoised) series for n > k, where
     the drop bound bites."""
     if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+        raise UsageError("n and k must be nonnegative")
     if n <= k:
         return eulerian_poly(n)
     return descent_gf(k).series(n)[n]
@@ -56,7 +56,7 @@ def _kernel_sum(k: int, mod: int) -> IntPoly:
     # sum_t C(k-t, j) u^(t-k); the tail is multiplied by u^k, so the low k
     # coefficients of the total stand for negative powers and must cancel
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise UsageError("k must be nonnegative")
     shift_base = IntPoly((-1,) + (0,) * (mod - 1) + (1,))  # u^mod - 1
     total = IntPoly()
     for j in range(k + 1):
@@ -105,7 +105,7 @@ def kernel_poly_by_stretch(k: int) -> IntPoly:
     """Build the kernel iteratively: each next kernel is the stretch of the
     previous one times the next geometric sum."""
     if k < 1:
-        raise ValueError("stretch construction starts at k = 1")
+        raise UsageError("stretch construction starts at k = 1")
     p = IntPoly((1, 1))
     for j in range(1, k):
         p = stretch(p, j) * geometric(j + 1)
@@ -121,7 +121,7 @@ def kernel_poly_by_duplication(k: int) -> IntPoly:
     (1, 1, 2, 1, 1)
     """
     if k < 1:
-        raise ValueError("duplication construction starts at k = 1")
+        raise UsageError("duplication construction starts at k = 1")
     seq = [1, 1]
     for j in range(1, k):
         window = [sum(seq[max(0, i - j) : i + 1]) for i in range(j * j + j + 1)]
@@ -146,7 +146,7 @@ def descent_poly_by_closed_form(n: int, k: int) -> IntPoly:
     polynomial is returned directly, avoiding a negative geometric exponent.
     """
     if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+        raise UsageError("n and k must be nonnegative")
     if n < k:
         return eulerian_poly(n)
     return kernel_poly(k).product(geometric(k) ** (n - k), k + 1)

@@ -16,7 +16,7 @@ from itertools import zip_longest
 from math import comb
 
 from .eulerian import eulerian_poly
-from .polynomial import IntPoly
+from .polynomial import IntPoly, UsageError
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +39,7 @@ class RationalBivariateGF:
         ops a term; ``convolution_residual`` checks it against the denominator.
         """
         if upto < 0:
-            raise ValueError("order must be nonnegative")
+            raise UsageError("order must be nonnegative")
         out = list(self._terms)  # published below by one reference swap
         if len(out) <= upto:
             binoms = _binomials(self.k)
@@ -92,7 +92,7 @@ def descent_gf(k: int) -> RationalBivariateGF:
     [(1,), (1,), (1, 1), (1, 3)]
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise UsageError("k must be nonnegative")
     binoms = _binomials(k)
     ym1 = IntPoly((-1, 1))
     den = [IntPoly((1,))]

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from operator import add, index, sub
 
 from .permutation import Permutation, _bsort_word
+from .polynomial import UsageError
 
 
-class DropExceedsK(ValueError):
+class DropExceedsK(UsageError):
     """The permutation has a drop larger than the requested ball count."""
 
 

@@ -12,6 +12,10 @@ from collections.abc import Iterable
 from operator import index
 
 
+class UsageError(ValueError):
+    """A request the caller can correct (a bound, a cap, unparsable input): CLI exit 2."""
+
+
 class NegativeExponentResidue(ValueError):
     """A sum over negative powers kept a nonzero coefficient on one of them."""
 

@@ -36,7 +36,7 @@ from .permutation import (
     standardize,
     unstandardize,
 )
-from .polynomial import IntPoly, geometric
+from .polynomial import IntPoly, UsageError, geometric
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,9 +445,9 @@ def run_suite(suite: str, nmax: int, kmax: int) -> list[CheckResult]:
     """Run one named suite (or ``all``) in a fixed order; negative bounds are
     a usage error, and a check that raises fails under its function's name."""
     if nmax < 0 or kmax < 0:
-        raise ValueError(f"nmax and kmax must be nonnegative, got {nmax} and {kmax}")
+        raise UsageError(f"nmax and kmax must be nonnegative, got {nmax} and {kmax}")
     if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise UsageError(f"unknown suite {suite!r}")
     results = []
     for name in SUITES if suite == "all" else [suite]:
         for check in SUITES[name]:

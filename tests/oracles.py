@@ -3,10 +3,13 @@
 The counts go through the full symmetric group, so they stay honest at the
 cost of n! work, and the formulas (the alternating sum, the multinomial for
 an unbounded drop) are ones the library does not use; nor is the JSON
-reference encoder, the standard library's own pretty printer.  The library
-must never import this module (``tests/test_oracle_imports.py``).
+reference encoder, the standard library's own pretty printer, nor the
+dict-per-row ``table`` rendering.  The library must never import this module
+(``tests/test_oracle_imports.py``).
 """
 
+import csv
+import io
 import json
 from collections.abc import Iterator
 from itertools import permutations
@@ -120,3 +123,29 @@ def json_text(doc: object) -> str:
     ``json.dumps(indent=2, sort_keys=True)``: an IntPoly is the list of its
     coefficients in decimal strings, an iterator a list."""
     return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+
+
+def table_text(polys: dict, k: int, route: str, fmt: str) -> str:
+    """The stdout of ``descpoly table`` for the descent polynomials ``polys``
+    (n -> {route name -> IntPoly}, in n order, shown route first), rendered as
+    the CLI first did: one dict per row (n, k, r, value[, agree]), read by
+    every format, with the agree column only under ``--route all``."""
+    header = ["n", "k", "r", "value"] + (["agree"] if route == "all" else [])
+    rows = []
+    for n, by_route in polys.items():
+        agree = len({p.coeffs for p in by_route.values()}) == 1
+        shown = next(iter(by_route.values()))
+        for r in range(max(len(shown.coeffs), 1)):
+            rows.append(dict(zip(header, (n, k, r, shown.coefficient(r), agree))))
+    if fmt == "json":
+        json_rows = [dict(row, value=str(row["value"])) for row in rows]
+        return json_text({"command": "table", "route": route, "rows": json_rows}) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(list(row.values()) for row in rows)
+        return out.getvalue()
+    lines = ["# " + " ".join(header)]
+    lines += [" ".join(str(v).lower() for v in row.values()) for row in rows]
+    return "".join(line + "\n" for line in lines)

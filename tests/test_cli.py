@@ -255,6 +255,46 @@ def test_empty_range_bound_exits_2(capsys, text):
     assert err == f"error: bad range {text!r}\n"
 
 
+# every usage error a user can make, with the one stderr line it prints (exit 2)
+USAGE_ERRORS = {
+    "table --n 3 --k -1": "n and k must be nonnegative",
+    "table --n 0:4 --k -2 --route all": "n and k must be nonnegative",
+    "table --n 3 --k -1 --route closed": "n and k must be nonnegative",
+    "table --n x --k 1": "invalid literal for int() with base 10: 'x'",
+    "table --n 3::4 --k 1": "invalid literal for int() with base 10: ':4'",
+    "table --n -1 --k 1": "bad range '-1'",
+    "table --n 2:12 --k 1 --route all": "enumeration for n=11 exceeds cap 10",
+    "table --n 3 --k 1 --route enum --nmax -1": "enumeration for n=3 exceeds cap -1",
+    "poly --k -1": "k must be nonnegative",
+    "poly --k -1 --construction stretch": "stretch construction starts at k = 1",
+    "poly --k -1 --which PP --construction duplication": "duplication construction starts at k = 1",
+    "poly --k 3 --kmax -1": "k=3 exceeds cap -1 (raise with --kmax)",
+    "gf --k -1 --order 3": "k must be nonnegative",
+    "gf --k 2 --order -1": "order must be nonnegative",
+    "juggle --perm 3,2,1 --k -1": "maxdrop 2 of (3, 2, 1) exceeds k=-1",
+    "juggle --perm 1,1,2 --k 2": "not a permutation of 1..3: (1, 1, 2)",
+    "juggle --perm , --k 1": "invalid literal for int() with base 10: ''",
+    "verify --suite structure --nmax -2 --kmax -2": "nmax and kmax must be nonnegative, got -2 and -2",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_print_one_line_and_exit_2(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
+
+
+@pytest.mark.parametrize("exc", [ValueError("injected fault"), RuntimeError("injected fault")])
+def test_a_fault_in_a_route_is_a_failure_not_a_usage_error(capsys, monkeypatch, exc):
+    # a route that raises is a fault of the program (exit 1, named), never the user's error
+    def injected(n, k):
+        raise exc
+
+    monkeypatch.setattr(cli, "descent_poly_by_recurrence", injected)
+    code, out, err = run_cli(capsys, "table", "--n", "3", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == f"FAIL table: {type(exc).__name__}: injected fault\n"
+
+
 def test_table_route_disagreement_exits_1(capsys, monkeypatch):
     real = cli.descent_poly_by_closed_form
 

@@ -17,7 +17,11 @@ from descpoly.descent import (
     stretched_kernel_poly,
 )
 from descpoly.eulerian import eulerian_poly
-from descpoly.polynomial import IntPoly, NegativeExponentResidue, geometric
+from descpoly.genfunc import descent_gf
+from descpoly.juggling import DropExceedsK, throw_sequence
+from descpoly.permutation import Permutation
+from descpoly.polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
+from descpoly.verify import run_suite
 
 from oracles import bounded_drop_census
 
@@ -187,3 +191,35 @@ def test_intro_factorizations():
     for n in range(2, 10):
         lhs = (IntPoly(PP2) * geometric(3) ** (n - 2)).multisect(4)
         assert lhs == descent_poly_by_recurrence(n, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: descent_poly_by_enumeration(3, -1),
+        lambda: descent_poly_by_enumeration(11, 1),
+        lambda: descent_poly_by_recurrence(-1, 2),
+        lambda: descent_poly_by_closed_form(3, -1),
+        lambda: kernel_poly(-1),
+        lambda: stretched_kernel_poly(-1),
+        lambda: kernel_poly_by_stretch(0),
+        lambda: kernel_poly_by_duplication(0),
+        lambda: descent_gf(-1),
+        lambda: descent_gf(1).series(-1),
+        lambda: throw_sequence(Permutation((2, 1)), 0),
+        lambda: run_suite("routes", -1, 3),
+    ],
+    ids=[
+        "enum-k", "enum-cap", "rec-n", "closed-k", "kernel-k", "stretched-k", "stretch-start",
+        "duplication-start", "gf-k", "series-order", "drop", "verify-bounds",
+    ],
+)
+def test_bounds_the_cli_reaches_raise_usage_errors(call):
+    # the CLI maps UsageError, and only it, to exit 2
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_usage_errors_are_value_errors():
+    assert issubclass(CapExceeded, UsageError) and issubclass(DropExceedsK, UsageError)
+    assert issubclass(UsageError, ValueError)

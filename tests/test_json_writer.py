@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import json_text
 
@@ -89,10 +89,51 @@ def test_writer_matches_json_dumps_on_cli_shaped_documents(tree):
         sys.set_int_max_str_digits(limit)
 
 
+class Row(dict):
+    """A dict subclass: a row the writer must not take for a plain dict."""
+
+
+# flat rows as ``table`` and ``verify`` print them: hostile strings first, so a
+# row's own text cannot pass for the boundary between two rows or two items
+HOSTILE = st.sampled_from(["}", "{", "},{", "},\n    {", "}\x00{", '"', "\x00", "\x1f", "é€𝄞", ""]) | TEXT
+VALUE = HOSTILE | st.booleans() | st.none() | st.integers() | st.floats()
+FLAT = st.dictionaries(HOSTILE, VALUE, max_size=4)
+# a row whose value is a container is not flat: the writer must indent it a level deeper
+DEEP = st.dictionaries(HOSTILE, st.lists(VALUE, max_size=2) | FLAT, min_size=1, max_size=2)
+ROWS = st.lists(FLAT.filter(bool), min_size=1, max_size=5) | st.lists(
+    FLAT | FLAT.map(Row) | DEEP | VALUE | st.lists(VALUE, max_size=2), max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, st.booleans())
+@example([{"a": 1}, {"b": [1, "}"], "c": {"d": None}}], True)
+def test_writer_matches_json_dumps_on_lists_of_rows(rows, nested):
+    doc = {"rows": rows, "x": 1} if nested else rows
+    assert _written(doc) == json_text(doc)
+
+
+@pytest.mark.parametrize("count", [1, 50, 1024, 1025, 2500])
+def test_flat_rows_take_one_write_per_batch(count):
+    rows = [{"n": 3, "r": r, "value": str(3**r), "agree": r % 2 == 0} for r in range(count)]
+    writes: list[str] = []
+    cli._write_json(rows, writes.append, "  ")
+    # one encoder call per batch of 1,024 rows, then the closing bracket
+    assert len(writes) == -(-count // 1024) + 1
+    assert "".join(writes) == json_text({"rows": rows})[len('{\n  "rows": ') : -2]
+
+
 @pytest.mark.parametrize(
     "doc",
-    [{1: "a"}, {"a": 1, 2: "b"}, {"a": [{None: 1}]}, {"a": {(1, 2): IntPoly((1,))}}],
-    ids=["int", "mixed", "nested-none", "tuple"],
+    [
+        {1: "a"},
+        {"a": 1, 2: "b"},
+        {"a": [{None: 1}]},
+        {"a": {(1, 2): IntPoly((1,))}},
+        [{"a": 1}, {"b": 2, 3: "c"}],
+        [{"a": 1}, {1.5: "b"}],
+    ],
+    ids=["int", "mixed", "nested-none", "tuple", "row-int", "row-float"],
 )
 def test_a_key_that_is_not_a_string_raises(doc):
     with pytest.raises(TypeError):
