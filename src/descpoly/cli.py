@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import sys
+import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, count, repeat
 from typing import NamedTuple
@@ -103,12 +104,18 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
         write(f"\n{indent}{'}' if keyed else ']'}")
 
 
+_LIFT, _lifted = threading.Lock(), [0, 0]  # emit calls printing now, and the digit limit saved
+
+
 def emit(fmt: str, record: Record) -> int:
     """Print ``record`` as plain text, JSON or CSV and return the exit code:
     CHECK_FAILED, after one stderr line, when the record carries a failure.
     CPython's int-to-string digit limit is lifted here, and only here."""
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    with _LIFT:  # the first call in saves and lifts the limit, the last one out restores it
+        _lifted[0] += 1
+        if _lifted[0] == 1:
+            _lifted[1] = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
             _write_json(record.doc, sys.stdout.write)
@@ -118,7 +125,10 @@ def emit(fmt: str, record: Record) -> int:
         else:
             sys.stdout.writelines(map("{}\n".format, record.lines))
     finally:
-        sys.set_int_max_str_digits(digit_limit)
+        with _LIFT:
+            _lifted[0] -= 1
+            if not _lifted[0]:
+                sys.set_int_max_str_digits(_lifted[1])
     if record.failure is None:
         return 0
     print(record.failure, file=sys.stderr)
@@ -332,11 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     j.set_defaults(func=_cmd_juggle)
 
     v = sub.add_parser("verify", parents=[common], help="run property suites")
-    v.add_argument(
-        "--suite",
-        choices=[*SUITES, "all"],
-        default="all",
-    )
+    v.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     v.add_argument("--nmax", type=int, default=7, help="size bound (default 7)")
     v.add_argument("--kmax", type=int, default=7, help="drop bound (default 7)")
     v.set_defaults(func=_cmd_verify)
@@ -350,8 +356,46 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _options() -> dict[str, tuple[dict, dict, set]]:
+    # per subcommand: the namespace parse_args starts from (func and command included),
+    # each plain store action by its option string, and the dests that must be given
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)]
+        defaults = {subparsers.dest: name, **{a.dest: a.default for a in actions}, **sub._defaults}
+        plain = (a for a in actions if type(a) is argparse._StoreAction and a.nargs is None)
+        store = {flag: a for a in plain for flag in a.option_strings}
+        table[name] = defaults, store, {a.dest for a in actions if a.required}
+    return table
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, read off the option table when ``argv`` is a subcommand
+    and exact ``--flag value`` pairs with no value starting with "-"; otherwise argparse's."""
+    entry = _options().get(argv[0]) if argv else None
+    if entry and len(argv) % 2 and not any(text.startswith("-") for text in argv[2::2]):
+        defaults, store, required = entry
+        parsed, given = dict(defaults), set()
+        try:  # each value converted, then checked, in turn as argparse does; the last one wins
+            for flag, text in zip(argv[1::2], argv[2::2]):
+                action = store[flag]
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(text)
+                parsed[action.dest] = value
+                given.add(action.dest)
+        except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError):
+            pass
+        else:
+            if required <= given:
+                return argparse.Namespace(**parsed)
+    return _parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return emit(args.format, args.func(args))
     except UsageError as exc:  # CapExceeded and DropExceedsK included

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 from math import factorial
 from pathlib import Path
 
@@ -231,6 +233,37 @@ def test_each_subcommand_takes_only_the_bounds_it_reads(capsys, argv, reads):
     assert exc.value.code == 0
     usage = capsys.readouterr().out
     assert {flag for flag in ("--nmax", "--kmax") if flag in usage} == reads
+
+
+_USAGE_TABLE = (
+    "usage: descpoly table [-h] [--format {plain,json,csv}] --n N --k K\n"
+    "                      [--route {enum,rec,closed,all}] [--nmax NMAX]\ndescpoly table: error: "
+)
+_USAGE = "usage: descpoly [-h] {table,poly,gf,juggle,verify} ...\ndescpoly: error: "
+# argparse's own rejections (exit 2), as it prints them at an 80-column terminal
+REJECTIONS = {
+    "": _USAGE + "the following arguments are required: command",
+    "table": _USAGE_TABLE + "the following arguments are required: --n, --k",
+    "table --n 3": _USAGE_TABLE + "the following arguments are required: --k",
+    "table --n 3 --k 1 --route magic": _USAGE_TABLE
+    + "argument --route: invalid choice: 'magic' (choose from 'enum', 'rec', 'closed', 'all')",
+    "table --n 3 --k x": _USAGE_TABLE + "argument --k: invalid int value: 'x'",
+    "table --n 3 --k": _USAGE_TABLE + "argument --k: expected one argument",
+    "gf --k 1 --order 2 --nmax 1": _USAGE + "unrecognized arguments: --nmax 1",
+    "bogus": _USAGE
+    + "argument command: invalid choice: 'bogus' (choose from 'table', 'poly', 'gf', 'juggle', 'verify')",
+}
+
+
+@pytest.mark.parametrize("argv", REJECTIONS)
+def test_argparse_rejections_keep_their_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _call(capsys, argv.split())
+    expected = REJECTIONS[argv] + "\n"
+    # argparse from Python 3.12.8 on lists the choices by str(), not repr()
+    unquoted = re.sub(r"\(choose from .*\)", lambda m: m[0].replace("'", ""), expected)
+    assert (code, out) == (2, "")
+    assert err in {expected, unquoted}
 
 
 def test_unknown_route_exits_2(capsys):
@@ -489,7 +522,9 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
         ["table", "--n", "3", "--k", "1"],
     ]
     shared = [_call(capsys, argv) for argv in calls]
+    # a fresh parser, and a fresh option table read off it, for every call
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "_options", cli._options.__wrapped__)
     fresh = [_call(capsys, argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 2, 2, 0, 0, 2, 0, 2, 0, 0]
@@ -498,7 +533,7 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
 
 
 def _python(*args):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
@@ -518,6 +553,95 @@ def test_import_builds_no_parser():
     )
     proc = _python("-c", script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_main_reads_sys_argv_without_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["descpoly", "table", "--n", "3", "--k", "1"])
+    code = main()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE
+
+
+def test_module_entry_point_parses_as_argparse_does(capsys, monkeypatch):
+    # the installed script's path: main() with no argv, on the fast path and on argparse's
+    base = ["-m", "descpoly.cli", "table", "--n", "3"]
+    exact, joined, abbreviated = (
+        _python(*base, *rest) for rest in (["--k", "1"], ["--k=1"], ["--k", "1", "--rout", "rec"])
+    )
+    assert (exact.returncode, exact.stderr) == (0, "")
+    assert hashlib.sha256(exact.stdout.encode()).hexdigest() == GOLDEN_TABLE
+    assert joined.stdout == abbreviated.stdout == exact.stdout
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli._parser().parse_args(["gf", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    proc = _python("-m", "descpoly.cli", "gf", "--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text, "")
+
+
+def test_overlapping_emits_restore_the_digit_limit(capsys):
+    # A enters, B enters, A leaves, B leaves: the limit stays lifted while either
+    # prints, and comes back once both are done
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def lines(entered, other, text):
+        entered.set()
+        other.wait(10)
+        seen.append(sys.get_int_max_str_digits())
+        yield text
+
+    def first():
+        cli.emit("plain", cli.Record({}, [], [], lines(a_in, b_in, "a")))
+        a_out.set()
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        a = threading.Thread(target=first)
+        a.start()
+        a_in.wait(10)
+        b = threading.Thread(target=cli.emit, args=("plain", cli.Record({}, [], [], lines(b_in, a_out, "b"))))
+        b.start()
+        a.join(10)
+        b.join(10)
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not (a.is_alive() or b.is_alive())
+    assert (seen, after) == ([0, 0], 4300)
+    assert capsys.readouterr().out == "a\nb\n"
+
+
+def test_many_threads_printing_at_once_keep_the_digit_limit_lifted(capsys):
+    seen = []
+
+    def lines():
+        seen.append(sys.get_int_max_str_digits())
+        yield "x"
+
+    def work():
+        for _ in range(200):
+            cli.emit("plain", cli.Record({}, [], [], lines()))
+
+    interval, limit = sys.getswitchinterval(), sys.get_int_max_str_digits()
+    sys.setswitchinterval(1e-6)
+    sys.set_int_max_str_digits(4300)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(limit)
+    assert not any(t.is_alive() for t in threads)
+    assert (set(seen), len(seen), after) == ({0}, 1600, 4300)
+    assert capsys.readouterr().out == "x\n" * 1600
 
 
 def test_module_entry_point():
