@@ -33,9 +33,11 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> IntPoly:
         raise UsageError("n and k must be nonnegative")
     if n > cap:
         raise CapExceeded(f"enumeration for n={n} exceeds cap {cap}")
-    counts = [0] * max(n, 1)
-    for _, d in bounded_drop_words(n, k):
-        counts[d] += 1
+    counts = [0] * n if n > 1 else [1]
+    for _, _, _, des_ab, des_ba in bounded_drop_words(n, k):
+        counts[des_ab] += 1
+        if des_ba is not None:
+            counts[des_ba] += 1
     return IntPoly(counts)
 
 

@@ -184,6 +184,8 @@ def detach_tail(p: Permutation, spec: DescentSetSpec) -> tuple[Permutation, froz
     descent set of ``p`` must contain the required positions.
     """
     v = p.values
+    if not v:
+        raise ValueError("nothing to peel")
     if spec.n != len(v):
         raise ValueError(f"spec length {spec.n} != permutation length {len(v)}")
     if not all(v[j - 1] > v[j] for j in spec.positions):
@@ -216,16 +218,16 @@ def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
     return Permutation._trusted(tuple([ground[v - 1] for v in p.values] + xs))
 
 
-def bounded_drop_words(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every maxdrop <= k word of [n] together with its descent count.
-
-    Positions are filled right to left: position i takes one of the top
-    min(i, k+1) unused values, as a smaller one would drop by more than k.
-    The search is an odometer over those choices with an explicit stack; the
-    last two positions are written out directly.
+def bounded_drop_words(n: int, k: int) -> Iterator[tuple[int, int, tuple[int, ...], int, int | None]]:
+    """Yield each last-two-positions node of the maxdrop <= k words of [n] once,
+    as (a, b, tail, des_ab, des_ba) with a < b.  It stands for the words
+    (b, a) + tail, then (a, b) + tail, which have des_ba and des_ab descents;
+    des_ba is None when k = 0 bars (b, a), and n < 2 has no node.  Positions
+    are filled right to left: position i takes one of the top min(i, k+1)
+    unused values, as a smaller one would drop by more than k; the search is
+    an odometer over those choices with an explicit stack.
     """
     if n < 2:
-        yield tuple(range(1, n + 1)), 0
         return
     avail = list(range(1, n + 1))
     tails = [()] * (n + 1)  # tails[i]: the values at positions i+1..n
@@ -237,9 +239,7 @@ def bounded_drop_words(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
             a, b = avail
             tail, d = tails[2], des[2]
             t0 = tail[0] if tail else n + 1
-            if k:
-                yield (b, a) + tail, d + 1 + (a > t0)
-            yield (a, b) + tail, d + (b > t0)
+            yield a, b, tail, d + (b > t0), (d + 1 + (a > t0) if k else None)
             i = 3
         elif idx[i] < i:
             v = avail.pop(idx[i])
@@ -262,8 +262,12 @@ def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     trusted = Permutation._trusted
-    for values, _ in bounded_drop_words(n, k):
-        yield trusted(values)
+    if n < 2:
+        yield trusted(tuple(range(1, n + 1)))
+    for a, b, tail, _, des_ba in bounded_drop_words(n, k):
+        if des_ba is not None:
+            yield trusted((b, a) + tail)
+        yield trusted((a, b) + tail)
 
 
 def bounded_drop_count(n: int, k: int) -> int:

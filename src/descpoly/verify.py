@@ -9,6 +9,7 @@ Suites: ``identities``, ``routes``, ``bijections``, ``juggling``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -201,6 +202,12 @@ def _subsets(positions: frozenset[int]):
         yield from (frozenset(c) for c in combinations(items, r))
 
 
+def _specs(n: int, forced: frozenset[int] = frozenset()):
+    # (S, spec of S | forced) for each S inside a descent set; one spec per S
+    pair = cache(lambda S: (S, DescentSetSpec(n, S | forced)))
+    return cache(lambda ds: [pair(S) for S in _subsets(ds)])
+
+
 def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
     """Peel then reattach every (p, S), and attach then peel every (p, X),
     checking that the drop bound k survives each map.
@@ -210,13 +217,22 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
     first k whose pool [n-k, n] holds X.  A stable sort on that k visits the
     cases in the order a loop over every k first meets them, so the first
     counterexample is the one such a loop would report.
+
+    Each spec is built once.  ``detach_tail`` runs on every (p, S), and
+    ``attach_tail`` once per distinct output of p: it is pure, and the checks
+    read only p, that output and k, so a repeat would repeat the first verdict.
     """
     name = f"tail peeling and reattachment are mutually inverse, exhaustively for n <= {nmax}"
     for n in range(1, nmax + 1):
+        specs = _specs(n)
         for p in sorted(enumerate_bounded_drop(n, n - 1), key=Permutation.maxdrop):
             k = p.maxdrop()
-            for S in _subsets(p.descent_set()):
-                sigma, xs = detach_tail(p, DescentSetSpec(n, S))
+            attached = set()
+            for S, spec in specs(p.descent_set()):
+                sigma, xs = peeled = detach_tail(p, spec)
+                if peeled in attached:
+                    continue
+                attached.add(peeled)
                 back = attach_tail(sigma, xs)
                 if back != p:
                     fault = f"got {back.values}"
@@ -229,16 +245,14 @@ def check_bijection_round_trip(nmax: int, kmax: int) -> CheckResult:
                 return _fail(name, f"n={n} k={k} p={p.values} S={sorted(S)}: {fault}")
     # opposite direction: start from (sigma, X), attach, then peel
     for m in range(nmax):
+        # positions m+1..n-1 are forced descents of the joined permutation
+        tables = [(n, _specs(n, frozenset(range(m + 1, n)))) for n in range(m + 1, nmax + 1)]
         for p in map(Permutation, permutations(range(1, m + 1))):
-            md = p.maxdrop()
-            subsets = list(_subsets(p.descent_set()))
+            md, descents = p.maxdrop(), p.descent_set()
             cases = []
-            for n in range(m + 1, nmax + 1):
-                # positions m+1..n-1 are forced descents of the joined permutation
-                forced = frozenset(range(m + 1, n))
-                specs = [(T, DescentSetSpec(n, T | forced)) for T in subsets]
+            for n, specs in tables:
                 for X in combinations(range(1, n + 1), n - m):
-                    cases.append((max(md, n - X[0]), X, specs))
+                    cases.append((max(md, n - X[0]), X, specs(descents)))
             cases.sort(key=lambda case: case[0])
             for k, X, specs in cases:
                 joined = attach_tail(p, X)

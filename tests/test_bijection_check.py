@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from descpoly import verify
-from descpoly.permutation import Permutation, attach_tail, enumerate_bounded_drop
+from descpoly.permutation import DescentSetSpec, Permutation, attach_tail, enumerate_bounded_drop
 
 _attach, _detach = verify.attach_tail, verify.detach_tail
 
@@ -112,13 +112,16 @@ def _subsets(items):
 
 def _cases_over_every_k(nmax):
     """The check's cases as a loop over every k lists them, repeats and all:
-    forward peels (p, S) with the reattachments that undo them, then reverse
-    attachments (p, X) and the peels (joined, T) that undo them."""
-    forward, reverse_attach, reverse_detach = [], [], []
+    forward peels (p, S) and the outputs (p, peeled) that reattachment undoes,
+    then reverse attachments (p, X) and the peels (joined, T) that undo them."""
+    forward, forward_attach, reverse_attach, reverse_detach = [], [], [], []
     for n in range(1, nmax + 1):
         for k in range(n):
             for p in enumerate_bounded_drop(n, k):
-                forward += [(p.values, S) for S in _subsets(p.descent_set())]
+                for S in _subsets(p.descent_set()):
+                    sigma, xs = _detach(p, DescentSetSpec(n, S))
+                    forward.append((p.values, S))
+                    forward_attach.append((p.values, (sigma.values, xs)))
     for m in range(nmax):
         for values in permutations(range(1, m + 1)):
             p = Permutation(values)
@@ -130,27 +133,29 @@ def _cases_over_every_k(nmax):
                         reverse_attach.append((values, frozenset(X)))
                         joined = attach_tail(p, X).values
                         reverse_detach += [(joined, T | forced) for T in _subsets(p.descent_set())]
-    return forward, forward, reverse_attach, reverse_detach
+    return forward, forward_attach, reverse_attach, reverse_detach
 
 
 def test_bijection_round_trip_runs_each_case_once(monkeypatch):
     # A peel of the permutation attach_tail just built belongs to the reverse
     # half, and a reattachment of the prefix detach_tail just peeled to the
-    # forward half; such a reattachment is recorded as the case it undoes.
-    last = {"peeled": None, "attached": None}
+    # forward half, where it is recorded with the permutation it came from.
+    # Every S of one tail length peels p alike, and the forward half
+    # reattaches each distinct output of p once.
+    last = {"peeled": (None, None), "attached": None}
     forward_detach, forward_attach, reverse_attach, reverse_detach = [], [], [], []
 
     def recording_detach(p, spec):
         out = _detach(p, spec)
         case = (p.values, spec.positions)
         (reverse_detach if p is last["attached"] else forward_detach).append(case)
-        last["peeled"] = out[0]
+        last["peeled"] = out
         return out
 
     def recording_attach(sigma, xs):
         out = _attach(sigma, xs)
-        if sigma is last["peeled"]:
-            forward_attach.append(forward_detach[-1])
+        if sigma is last["peeled"][0]:
+            forward_attach.append((forward_detach[-1][0], (sigma.values, xs)))
         else:
             reverse_attach.append((sigma.values, frozenset(xs)))
         last["attached"] = out
@@ -163,6 +168,27 @@ def test_bijection_round_trip_runs_each_case_once(monkeypatch):
     for got, want in zip(recorded, _cases_over_every_k(6)):
         # each case once, in the order a loop over every k first meets it
         assert got == list(dict.fromkeys(want))
+    # p = (2, 1, 4, 3) has four descent subsets but two tail lengths
+    assert [peel for p, peel in forward_attach if p == (2, 1, 4, 3)] == [
+        ((2, 1, 3), frozenset({3})),
+        ((2, 1), frozenset({3, 4})),
+    ]
+
+
+def test_bijection_check_reports_a_peel_fault_past_the_first_of_its_tail_length(monkeypatch):
+    # S = [2] is the second descent subset of p with tail length 0 (after []),
+    # so its peel is not the one the check reattached first for p
+    def faulty_detach(p, spec):
+        sigma, xs = _detach(p, spec)
+        if p.values == (2, 5, 1, 4, 3) and spec.positions == {2}:
+            return _reversed(sigma), xs
+        return sigma, xs
+
+    monkeypatch.setattr(verify, "detach_tail", faulty_detach)
+    for nmax in (5, 7):
+        result = verify.check_bijection_round_trip(nmax, 0)
+        assert not result.ok
+        assert result.detail == "n=5 k=2 p=(2, 5, 1, 4, 3) S=[2]: got (4, 1, 5, 2, 3)"
 
 
 def test_bijection_round_trip_draws_each_permutation_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descpoly import permutation, verify
+from descpoly.descent import descent_poly_by_enumeration
 from descpoly.permutation import (
     DescentSetSpec,
     Permutation,
@@ -216,6 +218,12 @@ def test_detach_tail_empty_spec():
     assert tail == frozenset({3})
 
 
+def test_detach_tail_has_nothing_to_peel_off_the_empty_permutation():
+    # an empty tail would be one that attach_tail rejects
+    with pytest.raises(ValueError, match="nothing to peel"):
+        detach_tail(Permutation(()), DescentSetSpec(0))
+
+
 def test_detach_tail_requires_descents():
     with pytest.raises(ValueError):
         detach_tail(Permutation((1, 2, 3)), DescentSetSpec(3, {1}))
@@ -293,6 +301,20 @@ def test_enumerate_bounded_drop_examples():
         (2, 1, 3),
         (3, 1, 2),
     ]
+
+
+def test_enumeration_order_and_descent_counts_are_pinned():
+    # every (n, k) with 0 <= k <= n <= 8: the order enumerate_bounded_drop
+    # yields, and the enumeration route's polynomial, each digested whole
+    order, polys = hashlib.sha256(), hashlib.sha256()
+    for n in range(9):
+        for k in range(n + 1):
+            order.update(b"%d %d\n" % (n, k))
+            for p in enumerate_bounded_drop(n, k):
+                order.update(bytes(p.values) + b"\n")
+            polys.update(b"%d %d %r\n" % (n, k, descent_poly_by_enumeration(n, k).coeffs))
+    assert order.hexdigest() == "e32786b6ed0bb70241bd0e9187eb0b0e4583136de075009e1da2898e558a817b"
+    assert polys.hexdigest() == "f7dda1f606d16fef97ff657ef85c3d61ae5a8e918f182fc56768d2d1fef36c19"
 
 
 @pytest.mark.parametrize("n", range(10))
