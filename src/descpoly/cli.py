@@ -4,9 +4,9 @@ suites.
 
 Each subcommand computes its results once, into a :class:`Record`, and
 :func:`emit` prints the one format asked for.  Exit codes: 0 success, 1 a
-failed cross-check or any other fault (named in one line on stderr), 2 a
-``UsageError``.  All JSON coefficient arrays carry integers as decimal
-strings so arbitrarily large values survive a round trip.
+failed cross-check or any other fault (named in one line on stderr) or a
+closed stdout pipe (silent), 2 a ``UsageError``.  JSON coefficient arrays
+carry integers as decimal strings, so any size survives a round trip.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -124,6 +125,7 @@ def emit(fmt: str, record: Record) -> int:
             csv.writer(sys.stdout, lineterminator="\n").writerows(chain([record.header], record.rows))
         else:
             sys.stdout.writelines(map("{}\n".format, record.lines))
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
     finally:
         with _LIFT:
             _lifted[0] -= 1
@@ -302,51 +304,56 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
     return Record(doc, ["suite", "name", "ok", "detail"], cells, plain, failure)
 
 
+_FORMAT = dict(choices=["plain", "json", "csv"], default="plain", help="output format (default plain)")
+# each subcommand: its function, its help line, and its options as {flag: add_argument keywords}
+_COMMANDS = {
+    "table": (_cmd_table, "coefficient table rows (n, k, r, value)", {
+        "--format": _FORMAT,
+        "--n": dict(required=True, help="n or inclusive range lo:hi"),
+        "--k": dict(type=int, required=True),
+        "--route": dict(choices=["enum", "rec", "closed", "all"], default="rec"),
+        "--nmax": dict(type=int, default=10, help="enumeration cap (default 10)"),
+    }),
+    "poly": (_cmd_poly, "kernel polynomials and their stretches", {
+        "--format": _FORMAT,
+        "--k": dict(type=int, required=True),
+        "--which": dict(choices=["P", "PP"], default="P"),
+        "--construction": dict(choices=["formula", "stretch", "duplication", "all"], default="all"),
+        "--kmax": dict(type=int, default=8, help="kernel cap (default 8)"),
+    }),
+    "gf": (_cmd_gf, "generating function and its series", {
+        "--format": _FORMAT,
+        "--k": dict(type=int, required=True),
+        "--order": dict(type=int, required=True, help="highest series power of z"),
+    }),
+    "juggle": (_cmd_juggle, "siteswap encoding and ball removal", {
+        "--format": _FORMAT,
+        "--perm": dict(required=True, help="comma separated one-line permutation"),
+        "--k": dict(type=int, required=True, help="ball count / drop bound"),
+    }),
+    "verify": (_cmd_verify, "run property suites", {
+        "--format": _FORMAT,
+        "--suite": dict(choices=[*SUITES, "all"], default="all"),
+        "--nmax": dict(type=int, default=7, help="size bound (default 7)"),
+        "--kmax": dict(type=int, default=7, help="drop bound (default 7)"),
+    }),
+}
+# per subcommand, the namespace parse_args starts from; only a required flag starts at None
+_START = {
+    name: {"command": name, **{f[2:]: kw.get("default") for f, kw in options.items()}, "func": func}
+    for name, (func, _, options) in _COMMANDS.items()
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["plain", "json", "csv"], default="plain",
-        help="output format (default plain)",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="descpoly",
-        description="Descent polynomials of bounded-drop permutations, exactly.",
-    )
+    description = "Descent polynomials of bounded-drop permutations, exactly."
+    parser = argparse.ArgumentParser(prog="descpoly", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", parents=[common], help="coefficient table rows (n, k, r, value)")
-    t.add_argument("--n", required=True, help="n or inclusive range lo:hi")
-    t.add_argument("--k", type=int, required=True)
-    t.add_argument("--route", choices=["enum", "rec", "closed", "all"], default="rec")
-    t.add_argument("--nmax", type=int, default=10, help="enumeration cap (default 10)")
-    t.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("poly", parents=[common], help="kernel polynomials and their stretches")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--which", choices=["P", "PP"], default="P")
-    p.add_argument(
-        "--construction", choices=["formula", "stretch", "duplication", "all"], default="all"
-    )
-    p.add_argument("--kmax", type=int, default=8, help="kernel cap (default 8)")
-    p.set_defaults(func=_cmd_poly)
-
-    g = sub.add_parser("gf", parents=[common], help="generating function and its series")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--order", type=int, required=True, help="highest series power of z")
-    g.set_defaults(func=_cmd_gf)
-
-    j = sub.add_parser("juggle", parents=[common], help="siteswap encoding and ball removal")
-    j.add_argument("--perm", required=True, help="comma separated one-line permutation")
-    j.add_argument("--k", type=int, required=True, help="ball count / drop bound")
-    j.set_defaults(func=_cmd_juggle)
-
-    v = sub.add_parser("verify", parents=[common], help="run property suites")
-    v.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    v.add_argument("--nmax", type=int, default=7, help="size bound (default 7)")
-    v.add_argument("--kmax", type=int, default=7, help="drop bound (default 7)")
-    v.set_defaults(func=_cmd_verify)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -356,41 +363,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _options() -> dict[str, tuple[dict, dict, set]]:
-    # per subcommand: the namespace parse_args starts from (func and command included),
-    # each plain store action by its option string, and the dests that must be given
-    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in subparsers.choices.items():
-        actions = [a for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default)]
-        defaults = {subparsers.dest: name, **{a.dest: a.default for a in actions}, **sub._defaults}
-        plain = (a for a in actions if type(a) is argparse._StoreAction and a.nargs is None)
-        store = {flag: a for a in plain for flag in a.option_strings}
-        table[name] = defaults, store, {a.dest for a in actions if a.required}
-    return table
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, read off the option table when ``argv`` is a subcommand
+    """``_parser().parse_args(argv)``, read off ``_COMMANDS`` when ``argv`` is a subcommand
     and exact ``--flag value`` pairs with no value starting with "-"; otherwise argparse's."""
-    entry = _options().get(argv[0]) if argv else None
-    if entry and len(argv) % 2 and not any(text.startswith("-") for text in argv[2::2]):
-        defaults, store, required = entry
-        parsed, given = dict(defaults), set()
+    start = _START.get(argv[0]) if argv else None
+    if start and len(argv) % 2 and not any(text.startswith("-") for text in argv[2::2]):
+        options, parsed = _COMMANDS[argv[0]][2], dict(start)
         try:  # each value converted, then checked, in turn as argparse does; the last one wins
             for flag, text in zip(argv[1::2], argv[2::2]):
-                action = store[flag]
-                value = text if action.type is None else action.type(text)
-                if action.choices is not None and value not in action.choices:
+                keywords = options[flag]
+                value = keywords.get("type", str)(text)
+                if "choices" in keywords and value not in keywords["choices"]:
                     raise ValueError(text)
-                parsed[action.dest] = value
-                given.add(action.dest)
-        except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError):
-            pass
-        else:
-            if required <= given:
+                parsed[flag[2:]] = value
+            if None not in parsed.values():  # every required flag given
                 return argparse.Namespace(**parsed)
+        except (KeyError, ValueError):
+            pass
     return _parser().parse_args(argv)
 
 
@@ -398,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return emit(args.format, args.func(args))
+    except BrokenPipeError:  # the reader is gone: say nothing, and keep the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILED
     except UsageError as exc:  # CapExceeded and DropExceedsK included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

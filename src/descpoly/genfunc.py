@@ -22,13 +22,17 @@ from .polynomial import IntPoly, UsageError
 @dataclass(frozen=True, slots=True)
 class RationalBivariateGF:
     """Numerator and denominator, each a tuple of y-polynomials indexed by
-    the power of z; series terms computed so far are memoised in ``_terms``,
-    which ``dataclasses.replace`` starts empty."""
+    the power of z, the denominator drop bound k's; series terms computed so
+    far are memoised in ``_terms``, which ``dataclasses.replace`` starts empty."""
 
     k: int
     numerator: tuple[IntPoly, ...]
     denominator: tuple[IntPoly, ...]
     _terms: tuple[IntPoly, ...] = field(default=(), init=False, compare=False, repr=False)
+
+    def __post_init__(self):  # the series steps by k's weights, whatever the denominator
+        if self.denominator != _denominator(self.k):
+            raise ValueError(f"not the denominator of drop bound {self.k}: {self.denominator}")
 
     def series(self, upto: int) -> list[IntPoly]:
         """Series coefficients of z^0 .. z^upto, each a polynomial in y, as a
@@ -68,6 +72,14 @@ def _binomials(k: int) -> list[int]:
     return [comb(k + 1, i) for i in range(k + 2)]
 
 
+@cache
+def _denominator(k: int) -> tuple[IntPoly, ...]:
+    if k < 0:
+        raise UsageError("k must be nonnegative")
+    binoms, ym1 = _binomials(k), IntPoly((-1, 1))
+    return (IntPoly((1,)), *(-(binoms[i] * ym1 ** (i - 1)) for i in range(1, k + 2)))
+
+
 def _weighted_sum(binoms: list[int], terms: Sequence[IntPoly], n: int) -> list[int]:
     # sum_{i=1}^{min(n, k+1)} C(k+1,i) (y-1)^(i-1) terms[n-i] as a coefficient
     # list, by Horner's rule: acc <- acc * (y-1) + C(k+1,i) terms[n-i], i from
@@ -91,13 +103,7 @@ def descent_gf(k: int) -> RationalBivariateGF:
     >>> [p.coeffs for p in descent_gf(1).series(3)]
     [(1,), (1,), (1, 1), (1, 3)]
     """
-    if k < 0:
-        raise UsageError("k must be nonnegative")
-    binoms = _binomials(k)
-    ym1 = IntPoly((-1, 1))
-    den = [IntPoly((1,))]
-    for i in range(1, k + 2):
-        den.append(-(binoms[i] * ym1 ** (i - 1)))
+    den, binoms = _denominator(k), _binomials(k)
     eulerian = [eulerian_poly(t) for t in range(k + 1)]
     num = [eulerian[t] - IntPoly(_weighted_sum(binoms, eulerian, t)) for t in range(k + 1)]
-    return RationalBivariateGF(k, tuple(num), tuple(den))
+    return RationalBivariateGF(k, tuple(num), den)

@@ -481,6 +481,8 @@ GOLDEN_TABLE = next(
     for c in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
     if c["argv"] == "table --n 3 --k 1"
 )
+# argparse's help for the top level ("") and each subcommand at an 80-column terminal
+HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
 
 
 def _call(capsys, argv):
@@ -522,9 +524,7 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
         ["table", "--n", "3", "--k", "1"],
     ]
     shared = [_call(capsys, argv) for argv in calls]
-    # a fresh parser, and a fresh option table read off it, for every call
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    monkeypatch.setattr(cli, "_options", cli._options.__wrapped__)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser for every call
     fresh = [_call(capsys, argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 2, 2, 0, 0, 2, 0, 2, 0, 0]
@@ -563,7 +563,7 @@ def test_main_reads_sys_argv_without_argv(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE
 
 
-def test_module_entry_point_parses_as_argparse_does(capsys, monkeypatch):
+def test_module_entry_point_parses_as_argparse_does():
     # the installed script's path: main() with no argv, on the fast path and on argparse's
     base = ["-m", "descpoly.cli", "table", "--n", "3"]
     exact, joined, abbreviated = (
@@ -572,13 +572,28 @@ def test_module_entry_point_parses_as_argparse_does(capsys, monkeypatch):
     assert (exact.returncode, exact.stderr) == (0, "")
     assert hashlib.sha256(exact.stdout.encode()).hexdigest() == GOLDEN_TABLE
     assert joined.stdout == abbreviated.stdout == exact.stdout
+    proc = _python("-m", "descpoly.cli", "gf", "--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, HELP["gf"], "")
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda command: command or "descpoly")
+def test_help_screens_are_pinned(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
-        cli._parser().parse_args(["gf", "--help"])
-    assert exc.value.code == 0
-    help_text = capsys.readouterr().out
-    proc = _python("-m", "descpoly.cli", "gf", "--help")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text, "")
+        main([*command.split(), "--help"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, HELP[command])
+
+
+def test_a_closed_pipe_exits_1_in_silence():
+    # the reader takes one line and goes, as `| head -1` does, while rows are still coming
+    argv = [sys.executable, "-m", "descpoly.cli", "table", "--n", "0:300", "--k", "2", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,k,r,value\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(60), stderr) == (1, b"")
 
 
 def test_overlapping_emits_restore_the_digit_limit(capsys):

@@ -1,7 +1,7 @@
-"""``cli._parse`` reads a well-formed command line off the parser's own option
-table and hands every other one to argparse; either way the result must be
-the one ``parse_args`` gives: the same namespace, or the same exit code,
-stdout and stderr."""
+"""``cli._parse`` reads a well-formed command line off ``cli._COMMANDS``, the
+table ``build_parser`` builds argparse's parser from, and hands every other
+one to argparse; either way the result must be the one ``parse_args`` gives:
+the same namespace, or the same exit code, stdout and stderr."""
 
 import argparse
 import contextlib
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from descpoly import cli
 
-OPTIONS = cli._options()
-FLAGS = sorted({flag for _, store, _ in OPTIONS.values() for flag in store})
+OPTIONS = {name: options for name, (_, _, options) in cli._COMMANDS.items()}
+FLAGS = sorted({flag for options in OPTIONS.values() for flag in options})
 
 
 def _outcome(parse, argv):
@@ -26,10 +26,10 @@ def _outcome(parse, argv):
             return "exit", exc.code, out.getvalue(), err.getvalue()
 
 
-def _valid(draw, action):
-    if action.choices is not None:
-        return draw(st.sampled_from(list(action.choices)))
-    if action.type is int:
+def _valid(draw, keywords):
+    if "choices" in keywords:
+        return draw(st.sampled_from(keywords["choices"]))
+    if keywords.get("type") is int:
         return str(draw(st.integers(0, 12)))
     return draw(st.sampled_from(["3", "0:4", "3,1,2"]))  # --n and --perm take any text
 
@@ -39,21 +39,21 @@ def command_lines(draw):
     command = draw(st.sampled_from([*OPTIONS, "bogus", "-h", None]))
     if command is None:
         return []
-    _, store, required = OPTIONS.get(command, (None, {}, set()))
+    options = OPTIONS.get(command, {})
     # the required flags (each mostly kept), then more of the subcommand's own, in any order
-    flags = [flag for flag in sorted(store) if store[flag].dest in required and draw(st.integers(0, 4))]
-    flags += draw(st.lists(st.sampled_from(sorted(store) or FLAGS), max_size=4))
+    flags = [flag for flag in sorted(options) if options[flag].get("required") and draw(st.integers(0, 4))]
+    flags += draw(st.lists(st.sampled_from(sorted(options) or FLAGS), max_size=4))
     argv = [command]
     for flag in draw(st.permutations(flags)):
         kind = draw(st.sampled_from(["own"] * 12 + ["foreign", "abbreviated", "joined"]))
-        action = store.get(flag)
+        keywords = options.get(flag)
         if kind == "foreign":
             flag = draw(st.sampled_from([*FLAGS, "--help", "-h", "--bogus"]))
         elif kind == "abbreviated":
             flag = flag[: draw(st.integers(3, max(3, len(flag) - 1)))]
         value = draw(st.sampled_from(["valid"] * 12 + ["magic", "x", "-1", "", "missing"]))
         if value == "valid":
-            value = _valid(draw, action) if action is not None else "1"
+            value = _valid(draw, keywords) if keywords is not None else "1"
         if kind == "joined" and value != "missing":
             argv.append(f"{flag}={value}")
         else:

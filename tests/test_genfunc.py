@@ -32,6 +32,17 @@ def test_gf_k2_denominator():
     assert gf.denominator[3] == IntPoly((-1, 2, -1))
 
 
+@pytest.mark.parametrize(
+    "k, denominator", [(2, descent_gf(0).denominator), (1, descent_gf(2).denominator), (0, ())]
+)
+def test_a_denominator_other_than_drop_bound_ks_is_rejected(k, denominator):
+    # the series steps by drop bound k's weights whatever the denominator says, and
+    # a shorter denominator sent convolution_residual past its end
+    with pytest.raises(ValueError, match="not the denominator of drop bound"):
+        RationalBivariateGF(k, descent_gf(k).numerator, denominator)
+    assert RationalBivariateGF(k, descent_gf(k).numerator, descent_gf(k).denominator) == descent_gf(k)
+
+
 def test_gf_unit_constant_terms():
     for k in range(8):
         gf = descent_gf(k)
