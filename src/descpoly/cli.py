@@ -357,15 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args leaves it unchanged
-    return build_parser()
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, read off ``_COMMANDS`` when ``argv`` is a subcommand
-    and exact ``--flag value`` pairs with no value starting with "-"; otherwise argparse's."""
+    """``build_parser().parse_args(argv)``, read off ``_COMMANDS`` when ``argv`` is a subcommand
+    and exact ``--flag value`` pairs with no value starting with "-"; only the rest build one."""
     start = _START.get(argv[0]) if argv else None
     if start and len(argv) % 2 and not any(text.startswith("-") for text in argv[2::2]):
         options, parsed = _COMMANDS[argv[0]][2], dict(start)
@@ -380,7 +374,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                 return argparse.Namespace(**parsed)
         except (KeyError, ValueError):
             pass
-    return _parser().parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return emit(args.format, args.func(args))
     except BrokenPipeError:  # the reader is gone: say nothing, and keep the final flush quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return CHECK_FAILED
     except UsageError as exc:  # CapExceeded and DropExceedsK included
         print(f"error: {exc}", file=sys.stderr)

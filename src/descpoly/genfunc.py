@@ -21,18 +21,31 @@ from .polynomial import IntPoly, UsageError
 
 @dataclass(frozen=True, slots=True)
 class RationalBivariateGF:
-    """Numerator and denominator, each a tuple of y-polynomials indexed by
-    the power of z, the denominator drop bound k's; series terms computed so
-    far are memoised in ``_terms``, which ``dataclasses.replace`` starts empty."""
+    """The generating function for drop bound k, worked out from k alone:
+    numerator and denominator, each a tuple of y-polynomials indexed by the
+    power of z.  Instances are equal when their k is; series terms computed so
+    far are memoised in ``_terms``, which starts empty in every new instance.
+
+    The denominator is 1 minus the recurrence weights C(k+1, i) (y-1)^(i-1)
+    on z^i; the numerator is the denominator times the Eulerian initial
+    conditions, truncated after z^k, built by the series' own Horner step:
+    num[t] = E_t - sum_{i=1}^{t} C(k+1,i) (y-1)^(i-1) E_{t-i}.
+    """
 
     k: int
-    numerator: tuple[IntPoly, ...]
-    denominator: tuple[IntPoly, ...]
+    numerator: tuple[IntPoly, ...] = field(init=False, compare=False)
+    denominator: tuple[IntPoly, ...] = field(init=False, compare=False)
     _terms: tuple[IntPoly, ...] = field(default=(), init=False, compare=False, repr=False)
 
-    def __post_init__(self):  # the series steps by k's weights, whatever the denominator
-        if self.denominator != _denominator(self.k):
-            raise ValueError(f"not the denominator of drop bound {self.k}: {self.denominator}")
+    def __post_init__(self):
+        if self.k < 0:
+            raise UsageError("k must be nonnegative")
+        binoms, ym1 = _binomials(self.k), IntPoly((-1, 1))
+        eulerian = [eulerian_poly(t) for t in range(self.k + 1)]
+        num = (e - IntPoly(_weighted_sum(binoms, eulerian, t)) for t, e in enumerate(eulerian))
+        object.__setattr__(self, "numerator", tuple(num))
+        den = (IntPoly((1,)), *(-(binoms[i] * ym1 ** (i - 1)) for i in range(1, self.k + 2)))
+        object.__setattr__(self, "denominator", den)
 
     def series(self, upto: int) -> list[IntPoly]:
         """Series coefficients of z^0 .. z^upto, each a polynomial in y, as a
@@ -72,14 +85,6 @@ def _binomials(k: int) -> list[int]:
     return [comb(k + 1, i) for i in range(k + 2)]
 
 
-@cache
-def _denominator(k: int) -> tuple[IntPoly, ...]:
-    if k < 0:
-        raise UsageError("k must be nonnegative")
-    binoms, ym1 = _binomials(k), IntPoly((-1, 1))
-    return (IntPoly((1,)), *(-(binoms[i] * ym1 ** (i - 1)) for i in range(1, k + 2)))
-
-
 def _weighted_sum(binoms: list[int], terms: Sequence[IntPoly], n: int) -> list[int]:
     # sum_{i=1}^{min(n, k+1)} C(k+1,i) (y-1)^(i-1) terms[n-i] as a coefficient
     # list, by Horner's rule: acc <- acc * (y-1) + C(k+1,i) terms[n-i], i from
@@ -93,17 +98,10 @@ def _weighted_sum(binoms: list[int], terms: Sequence[IntPoly], n: int) -> list[i
 
 @cache
 def descent_gf(k: int) -> RationalBivariateGF:
-    """The generating function for drop bound k, one shared instance per k.
-
-    The denominator is 1 minus the recurrence weights C(k+1, i) (y-1)^(i-1)
-    on z^i; the numerator is the denominator times the Eulerian initial
-    conditions, truncated after z^k, built by the series' own Horner step:
-    num[t] = E_t - sum_{i=1}^{t} C(k+1,i) (y-1)^(i-1) E_{t-i}.
+    """``RationalBivariateGF(k)``, one shared instance per k, so its series
+    memo lasts as long as the process.
 
     >>> [p.coeffs for p in descent_gf(1).series(3)]
     [(1,), (1,), (1, 1), (1, 3)]
     """
-    den, binoms = _denominator(k), _binomials(k)
-    eulerian = [eulerian_poly(t) for t in range(k + 1)]
-    num = [eulerian[t] - IntPoly(_weighted_sum(binoms, eulerian, t)) for t in range(k + 1)]
-    return RationalBivariateGF(k, tuple(num), den)
+    return RationalBivariateGF(k)

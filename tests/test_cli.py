@@ -473,7 +473,7 @@ def test_table_prints_coefficients_past_the_int_digit_limit(capsys):
     assert total == factorial(k) * (k + 1) ** (n - k)
 
 
-# The parser is built once per process and shared by every main() call.
+# Every main() call parses from the same module-level command table and start namespaces.
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 GOLDEN_TABLE = next(
@@ -494,19 +494,8 @@ def _call(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_parser_is_built_once_across_calls(capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    calls = [["table", "--n", "3", "--k", "1"], ["gf", "--k", "1", "--order", "2"], ["bogus"]]
-    for argv in calls * 20:
-        _call(capsys, argv)
-    assert len(built) == 1
-
-
-def test_shared_parser_leaks_no_state(capsys, monkeypatch):
-    # each call must print and exit as it would with a parser of its own
+def test_shared_parser_leaks_no_state(capsys):
+    # each call prints and exits alike in either order: the start namespaces it copies stay unchanged
     calls = [
         ["table", "--n", "4", "--k", "1", "--route", "enum", "--nmax", "3"],
         ["table", "--n", "4", "--k", "1", "--route", "enum"],
@@ -524,9 +513,7 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
         ["table", "--n", "3", "--k", "1"],
     ]
     shared = [_call(capsys, argv) for argv in calls]
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser for every call
-    fresh = [_call(capsys, argv) for argv in calls]
-    assert shared == fresh
+    assert shared == [_call(capsys, argv) for argv in reversed(calls)][::-1]
     assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 2, 2, 0, 0, 2, 0, 2, 0, 0]
     out = shared[-1][1]
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE
@@ -594,6 +581,18 @@ def test_a_closed_pipe_exits_1_in_silence():
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(60), stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        code = main(["table", "--n", "0:300", "--k", "2", "--format", "csv"])
+        after = len(os.listdir("/proc/self/fd"))
+    assert (code, after) == (1, before)
 
 
 def test_overlapping_emits_restore_the_digit_limit(capsys):

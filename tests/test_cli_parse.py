@@ -15,6 +15,7 @@ from descpoly import cli
 
 OPTIONS = {name: options for name, (_, _, options) in cli._COMMANDS.items()}
 FLAGS = sorted({flag for options in OPTIONS.values() for flag in options})
+PARSER = cli.build_parser()  # the reference; parse_args leaves it unchanged
 
 
 def _outcome(parse, argv):
@@ -64,7 +65,7 @@ def command_lines(draw):
 @settings(max_examples=600, deadline=None)
 @given(command_lines())
 def test_parse_gives_what_parse_args_gives(argv):
-    assert _outcome(cli._parse, argv) == _outcome(cli._parser().parse_args, argv)
+    assert _outcome(cli._parse, argv) == _outcome(PARSER.parse_args, argv)
 
 
 WELL_FORMED = [
@@ -81,11 +82,12 @@ WELL_FORMED = [
 
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
 def test_a_well_formed_command_line_never_reaches_argparse(monkeypatch, argv):
-    expected = cli._parser().parse_args(argv)
+    expected = PARSER.parse_args(argv)
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse was called")
 
+    monkeypatch.setattr(cli, "build_parser", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert cli._parse(argv) == expected
 

@@ -8,7 +8,7 @@ import pytest
 from descpoly import verify
 from descpoly.descent import descent_poly_by_closed_form, descent_poly_by_recurrence
 from descpoly.genfunc import RationalBivariateGF, descent_gf
-from descpoly.polynomial import IntPoly
+from descpoly.polynomial import IntPoly, UsageError
 
 
 def test_gf_k1_layout():
@@ -32,15 +32,23 @@ def test_gf_k2_denominator():
     assert gf.denominator[3] == IntPoly((-1, 2, -1))
 
 
-@pytest.mark.parametrize(
-    "k, denominator", [(2, descent_gf(0).denominator), (1, descent_gf(2).denominator), (0, ())]
-)
-def test_a_denominator_other_than_drop_bound_ks_is_rejected(k, denominator):
-    # the series steps by drop bound k's weights whatever the denominator says, and
-    # a shorter denominator sent convolution_residual past its end
-    with pytest.raises(ValueError, match="not the denominator of drop bound"):
-        RationalBivariateGF(k, descent_gf(k).numerator, denominator)
-    assert RationalBivariateGF(k, descent_gf(k).numerator, descent_gf(k).denominator) == descent_gf(k)
+@pytest.mark.parametrize("k", range(13))
+def test_a_new_instance_is_drop_bound_ks_with_an_empty_memo(k):
+    shared, fresh = descent_gf(k), RationalBivariateGF(k)
+    assert fresh is not shared and fresh == shared and fresh._terms == ()
+    assert (fresh.numerator, fresh.denominator) == (shared.numerator, shared.denominator)
+    assert fresh.series(40) == shared.series(40)
+
+
+def test_k_is_the_only_input():
+    gf = descent_gf(2)
+    with pytest.raises(TypeError):
+        RationalBivariateGF(2, gf.numerator, gf.denominator)
+    with pytest.raises(UsageError):
+        RationalBivariateGF(-1)
+    assert replace(gf, k=3) == descent_gf(3)
+    assert replace(gf, k=3).numerator == descent_gf(3).numerator
+    assert RationalBivariateGF(2) != descent_gf(3)
 
 
 def test_gf_unit_constant_terms():
@@ -87,7 +95,7 @@ def test_series_matches_recurrence(k):
     # the recurrence route reads this series, so the closed form is the
     # independent reference; a cold instance steps the series here, not
     # from the memo, and the denominator it no longer reads must annihilate it
-    series = _cold(k).series(40)
+    series = RationalBivariateGF(k).series(40)
     for n in range(41):
         want = descent_poly_by_closed_form(n, k)
         assert series[n] == want == descent_poly_by_recurrence(n, k), (n, k)
@@ -132,15 +140,10 @@ def test_gf_series_check_can_fail(monkeypatch):
     assert result.detail.startswith("n=4 k=0")
 
 
-def _cold(k):
-    gf = descent_gf(k)
-    return RationalBivariateGF(k, gf.numerator, gf.denominator)
-
-
 def test_series_memo_serves_shorter_and_longer_orders():
-    gf = _cold(3)
+    gf = RationalBivariateGF(3)
     for upto in (40, 5, 60):
-        assert gf.series(upto) == _cold(3).series(upto)
+        assert gf.series(upto) == RationalBivariateGF(3).series(upto)
     assert gf.series(60)[60] == descent_poly_by_closed_form(60, 3)
 
 
@@ -153,30 +156,22 @@ def test_series_returns_a_fresh_list():
     assert gf.series(10) == want
 
 
-def test_replace_starts_an_empty_memo():
-    gf = descent_gf(2)
-    gf.series(30)
-    doubled = replace(gf, numerator=tuple(2 * p for p in gf.numerator))
-    assert doubled.series(30) == [2 * p for p in gf.series(30)]
-    assert gf.series(30) == _cold(2).series(30)
-
-
 def test_series_from_concurrent_threads():
     # more threads than cores and a short switch interval, so the threads
     # interleave inside series; a torn memo would give a wrong term
     orders = (120, 40, 160, 80)
-    want = {n: _cold(3).series(n) for n in orders}
+    want = {n: RationalBivariateGF(3).series(n) for n in orders}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            descent_gf.cache_clear()
+            gf = RationalBivariateGF(3)  # one fresh memo per round, shared by its threads
             start = Barrier(len(orders))
             got = {}
 
             def work(n):
                 start.wait(timeout=30)
-                got[n] = descent_gf(3).series(n)
+                got[n] = gf.series(n)
 
             threads = [Thread(target=work, args=(n,)) for n in orders]
             for t in threads:
@@ -185,6 +180,6 @@ def test_series_from_concurrent_threads():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert got == want
-            assert descent_gf(3).series(160) == want[160]
+            assert gf.series(160) == want[160]
     finally:
         sys.setswitchinterval(interval)

@@ -27,7 +27,7 @@ def _written(doc) -> str:
 
 def _doc(argv: str) -> dict:
     # a fresh record each call: a document may hold one-shot iterators
-    args = cli._parser().parse_args(argv.split())
+    args = cli._parse(argv.split())
     return args.func(args).doc
 
 
