@@ -54,15 +54,15 @@ def descent_poly_by_recurrence(n: int, k: int) -> IntPoly:
 
 
 def _kernel_sum(k: int, mod: int) -> IntPoly:
-    # sum over j of E_{k-j}(u^mod) (u^mod - 1)^j times the tail
-    # sum_t C(k-t, j) u^(t-k); the tail is multiplied by u^k, so the low k
-    # coefficients of the total stand for negative powers and must cancel
+    # sum over j of the head E_{k-j}(v) (v - 1)^j, v = u^mod, times the tail
+    # sum_t C(k-t, j) u^(t-k); each head is formed in v, then spread to u, so
+    # the sum costs O(k^3) coefficient ops; the tail is multiplied by u^k, so
+    # the low k coefficients of the total stand for negative powers and must cancel
     if k < 0:
         raise UsageError("k must be nonnegative")
-    shift_base = IntPoly((-1,) + (0,) * (mod - 1) + (1,))  # u^mod - 1
     total = IntPoly()
     for j in range(k + 1):
-        head = eulerian_poly(k - j).substitute_power(mod) * shift_base**j
+        head = (eulerian_poly(k - j) * IntPoly((-1, 1)) ** j).substitute_power(mod)
         total = total + head * IntPoly([comb(k - t, j) for t in range(k - j + 1)])
     for e, c in enumerate(total.coeffs[:k]):
         if c:
@@ -141,11 +141,12 @@ def descent_poly_by_closed_form(n: int, k: int) -> IntPoly:
     descents) as every (k+1)-th coefficient of the kernel times the geometric
     power.
 
-    The power comes from J.C.P. Miller's recurrence (``IntPoly.__pow__``) in
-    O(k^2 n) coefficient ops, and the strided product with the degree-k^2
-    kernel forms only the kept coefficients, also in O(k^2 n): this is the
-    route for large n.  For n < k the drop bound is vacuous and the Eulerian
-    polynomial is returned directly, avoiding a negative geometric exponent.
+    The power comes from J.C.P. Miller's recurrence (``IntPoly.__pow__``),
+    stepped over floor(k(n-k)/2) coefficients at k ops each and mirrored
+    (the power is a palindrome); the strided product with the kernel forms
+    only the kept coefficients, in O(k^2 n): this is the route for large n.
+    For n < k the drop bound is vacuous and the Eulerian polynomial is
+    returned directly, avoiding a negative geometric exponent.
     """
     if n < 0 or k < 0:
         raise UsageError("n and k must be nonnegative")

@@ -123,7 +123,8 @@ class IntPoly:
         from ``c_0 = q_0^e``.  Each division by ``j q_0`` is exact, and a
         remainder raises ``ArithmeticError``.  The sum runs over the nonzero
         ``q_i`` only, so a power costs O(t * deg(q) * e) coefficient ops for
-        t nonzero terms.
+        t nonzero terms, halved for a palindromic ``q``: its power is one too,
+        so only ``c_1 .. c_h``, ``h = deg(q)*e // 2``, are stepped, then mirrored.
 
         >>> IntPoly((0, 1, -1)) ** 2
         IntPoly((0, 0, 1, -2, 1))
@@ -140,13 +141,15 @@ class IntPoly:
         m = len(q) - 1
         terms = [(i, qi, (e + 1) * i * qi) for i, qi in enumerate(q) if i and qi]
         c = [0] * m + [q[0] ** e]  # m zeros stand in for c_{-m} .. c_{-1}
-        for j in range(1, m * e + 1):
+        half = m * e // 2 if q == q[::-1] else m * e
+        for j in range(1, half + 1):
             # c[-i] is c_{j-i}: c_0 .. c_{j-1} are the last j entries
             cj, r = divmod(sum((w - j * qi) * c[-i] for i, qi, w in terms), j * q[0])
             if r:
                 raise ArithmeticError(f"inexact division at coefficient {j} of a power")
             c.append(cj)
-        return IntPoly([0] * (v * e) + c[m:])
+        c = c[m:]
+        return IntPoly([0] * (v * e) + c + c[: m * e - half][::-1])
 
     def substitute_power(self, m: int) -> IntPoly:
         """Return p(u^m): coefficient ``j`` of p lands on power ``m*j``."""

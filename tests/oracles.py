@@ -26,6 +26,17 @@ def eulerian_number(n: int, k: int) -> int:
     return sum((-1) ** i * comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1))
 
 
+def geometric_power_coefficient(k: int, N: int, m: int) -> int:
+    """The coefficient of u^m in (1 + u + ... + u^k)^N by inclusion-exclusion
+    over the parts that exceed k: sum_i (-1)^i C(N, i) C(m - i(k+1) + N - 1, N - 1)."""
+    if N == 0:
+        return int(m == 0)
+    return sum(
+        (-1) ** i * comb(N, i) * comb(m - i * (k + 1) + N - 1, N - 1)
+        for i in range(min(N, m // (k + 1)) + 1)
+    )
+
+
 def descent_count(values) -> int:
     return sum(values[i] > values[i + 1] for i in range(len(values) - 1))
 

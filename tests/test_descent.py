@@ -160,12 +160,18 @@ def test_kernel_by_duplication_worked_sequences():
         kernel_poly_by_duplication(0)
 
 
-@pytest.mark.parametrize("k", range(1, 8))
+# the abstract's symmetry and unimodality, and the four constructions'
+# agreement, far past verify's default kmax of 7
+KERNEL_KS = [*range(1, 25), 32, 48]
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
 def test_kernel_constructions_agree(k):
     assert kernel_poly(k) == kernel_poly_by_stretch(k) == kernel_poly_by_duplication(k)
+    assert stretched_kernel_poly(k) == stretch(kernel_poly(k), k)
 
 
-@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("k", [0, *KERNEL_KS])
 def test_kernel_structure(k):
     p = kernel_poly(k)
     assert p.degree == k * k

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from descpoly.polynomial import IntPoly, geometric
 
+from oracles import geometric_power_coefficient
+
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
 
 
@@ -129,6 +131,43 @@ def test_pow_edge_exponents():
 @given(st.lists(st.integers(-5, 5), max_size=6).map(IntPoly), st.integers(0, 10))
 def test_pow_is_repeated_product(p, e):
     assert p**e == reduce(mul, [p] * e, IntPoly((1,)))
+
+
+@st.composite
+def palindromic_bases(draw, palindrome):
+    """A power v of u and a palindrome q of odd or even length (a random
+    half, an optional middle, the half mirrored); with ``palindrome=False``
+    the top coefficient is redrawn so that the same-length q is not one."""
+    half = [draw(st.integers(-9, 9).filter(bool))] + draw(st.lists(st.integers(-9, 9), max_size=4))
+    q = half + draw(st.lists(st.integers(-9, 9), max_size=1)) + half[::-1]
+    if not palindrome:
+        q[-1] = draw(st.integers(-9, 9).filter(lambda c: c not in (0, q[0])))
+    return draw(st.integers(0, 3)), q
+
+
+@pytest.mark.parametrize("palindrome", [True, False], ids=["palindrome", "control"])
+@given(data=st.data(), e=st.integers(0, 10))
+def test_pow_of_a_palindromic_base_is_repeated_product(palindrome, data, e):
+    v, q = data.draw(palindromic_bases(palindrome))
+    assert (q == q[::-1]) is palindrome
+    p = IntPoly([0] * v + q)
+    power = p**e
+    assert power == reduce(mul, [p] * e, IntPoly((1,)))
+    if palindrome:
+        assert power.coeffs[v * e :] == power.coeffs[v * e :][::-1]
+
+
+# (1+u+...+u^k)^N at the largest closed-form rows perfbench runs (n = 1000
+# at k = 2, n = 120 at k = 12), and one odd degree k*N, where no middle
+# coefficient exists and the mirror starts right after the stepped half
+@pytest.mark.parametrize("k, N", [(2, 998), (12, 108), (3, 333)])
+def test_geometric_power_at_scale_matches_inclusion_exclusion(k, N):
+    power = geometric(k) ** N
+    top = k * N
+    assert power.degree == top
+    h = top // 2
+    for m in sorted({0, 1, h - 1, h, h + 1, h + 2, top - 1, top}):
+        assert power.coefficient(m) == geometric_power_coefficient(k, N, m), m
 
 
 def test_geometric():
