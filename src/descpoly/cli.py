@@ -226,10 +226,6 @@ def _cmd_gf(args: argparse.Namespace) -> Record:
     return Record(doc, ["part", "zpow", "ypow", "value"], chain.from_iterable(cells), lines)
 
 
-def _spaced(values: Iterable[int]) -> str:
-    return " ".join(map(str, values))
-
-
 def _cmd_juggle(args: argparse.Namespace) -> Record:
     try:  # integers that are not a permutation of 1..n are the user's error too
         p = Permutation(map(int, args.perm.split(",")))
@@ -240,13 +236,21 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
     balls = T.ball_count() if valid else None
     reduced = expected = None
     if balls:  # a valid sequence with a ball to remove
-        reduced = remove_ball(T)
-        expected = throw_sequence(p.bsort(), args.k - 1)
+        reduced = remove_ball(T).throws
+        expected = throw_sequence(p.bsort(), args.k - 1).throws
     crosscheck = "n/a" if reduced is None else "ok" if reduced == expected else "mismatch"
+    fields = {
+        "perm": p.values,
+        "k": args.k,
+        "throws": T.throws,
+        "valid": valid,
+        "balls": balls,
+        "reduced": reduced,
+        "crosscheck": crosscheck,
+    }
 
-    def cells():
-        removed = _spaced(reduced.throws) if reduced else ""
-        yield [_spaced(p.values), args.k, _spaced(T.throws), valid, balls, removed, crosscheck]
+    def cells():  # a tuple is one cell of space-separated entries; csv writes None empty
+        yield [" ".join(map(str, v)) if isinstance(v, tuple) else v for v in fields.values()]
 
     def lines():
         yield f"perm: {p.values}"
@@ -255,29 +259,18 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
         if valid:
             yield f"balls: {balls}"
         if reduced is not None:
-            yield f"one ball removed: {reduced.throws}"
+            yield f"one ball removed: {reduced}"
         yield f"bubble crosscheck: {crosscheck}"
 
-    doc = {
-        "command": "juggle",
-        "perm": p.values,
-        "k": args.k,
-        "throws": T.throws,
-        "valid": valid,
-        "balls": balls,
-        "reduced": reduced.throws if reduced else None,
-        "crosscheck": crosscheck,
-    }
-    header = ["perm", "k", "throws", "valid", "balls", "reduced", "crosscheck"]
     failure = None
     if not valid:
         failure = f"encoding: not a valid juggling sequence: {T.throws}"
     elif crosscheck == "mismatch":
         failure = (
-            f"bubble crosscheck: mismatch: one ball removed gives {reduced.throws}, "
-            f"the bubble-sorted permutation encodes {expected.throws}"
+            f"bubble crosscheck: mismatch: one ball removed gives {reduced}, "
+            f"the bubble-sorted permutation encodes {expected}"
         )
-    return Record(doc, header, cells(), lines(), failure)
+    return Record({"command": "juggle", **fields}, list(fields), cells(), lines(), failure)
 
 
 def _verdict(r: CheckResult) -> str:

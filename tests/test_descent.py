@@ -171,6 +171,11 @@ def test_kernel_constructions_agree(k):
     assert stretched_kernel_poly(k) == stretch(kernel_poly(k), k)
 
 
+def _multisection_is_eulerian(p, k):
+    # every (k+1)-th coefficient of the kernel P_k, from u^0 up, is A_k
+    return p.multisect(k + 1) == eulerian_poly(k)
+
+
 @pytest.mark.parametrize("k", [0, *KERNEL_KS])
 def test_kernel_structure(k):
     p = kernel_poly(k)
@@ -178,8 +183,46 @@ def test_kernel_structure(k):
     assert p.coefficient(0) == 1
     assert p.is_symmetric()
     assert p.is_unimodal()
+    assert _multisection_is_eulerian(p, k)
     if k >= 1:
         assert stretch(p, k).degree == k * k + k
+
+
+@pytest.mark.parametrize("k", [1, 8, 24])
+def test_a_perturbed_kernel_coefficient_fails_the_multisection(k):
+    # one coefficient off by one fails it exactly when the multisection keeps it
+    coeffs = kernel_poly(k).coeffs
+    for j in range(len(coeffs)):
+        perturbed = IntPoly(coeffs[:j] + (coeffs[j] + 1,) + coeffs[j + 1 :])
+        assert _multisection_is_eulerian(perturbed, k) == (j % (k + 1) != 0)
+
+
+def _palindromic(n, k):
+    return n <= k or n % (k + 1) == 0
+
+
+# P_k G^(n-k) is a palindrome of degree kn, so when (k+1) | n the coefficients
+# the closed form keeps sit symmetrically; for n <= k, D_{n,k} is Eulerian
+@pytest.mark.parametrize("k", range(1, 13))
+def test_descent_poly_is_palindromic_exactly_when_n_le_k_or_k_plus_1_divides_n(k):
+    series = descent_gf(k).series(200)
+    assert [D.is_symmetric() for D in series] == [_palindromic(n, k) for n in range(201)]
+    for n in range(0, 201, 7):
+        assert descent_poly_by_closed_form(n, k).is_symmetric() == _palindromic(n, k)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_palindromy_matches_enumeration(n):
+    # every k at which the drop bound excludes some permutation of [n]
+    for k in range(1, n - 1):
+        assert descent_poly_by_enumeration(n, k).is_symmetric() == _palindromic(n, k)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_observation_descent_poly_is_unimodal(k):
+    # an observation on n <= 200, not a claim: the abstract states unimodality
+    # for the kernels, not for D_{n,k}
+    assert all(D.is_unimodal() for D in descent_gf(k).series(200))
 
 
 def test_kernel_golden_table():

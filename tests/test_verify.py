@@ -3,6 +3,7 @@ import inspect
 import pytest
 
 from descpoly import verify
+from descpoly.genfunc import RationalBivariateGF
 from descpoly.polynomial import IntPoly
 
 
@@ -130,6 +131,7 @@ def _encoding_at_2(fault):
 
 
 _SEQ, _THROW = _real["JugglingSequence"], _real["throw_sequence"]
+_SERIES = RationalBivariateGF.series
 
 # check, owner, attribute, fake, detail at the CLI defaults nmax = kmax = 7
 _FAULTS = [
@@ -212,6 +214,11 @@ _FAULTS = [
      _off_at("stretched_kernel_poly", (3,)),
      "k=3: stretch=[1, 0, 1, 2, 4, 4, 0, 4, 4, 2, 1, 0, 1] "
      "formula=[1, 1, 1, 2, 4, 4, 0, 4, 4, 2, 1, 0, 1]"),
+    # only the terms at n <= k, which the series takes from its numerator; the
+    # recurrence route answers those with eulerian_poly and never reads them
+    ("eulerian_ceiling", RationalBivariateGF, "series",
+     lambda gf, upto: [t + _U if n <= gf.k else t for n, t in enumerate(_SERIES(gf, upto))],
+     "n=0 k=0: got [1, 1], want [1]"),
 ]
 
 
