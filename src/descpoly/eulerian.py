@@ -9,7 +9,7 @@ identity checkers return the difference of the two sides as a polynomial, so
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .polynomial import IntPoly
 
@@ -38,7 +38,8 @@ def eulerian_poly(n: int) -> IntPoly:
 
 
 def gen_binomial(a: int, j: int) -> int:
-    """Binomial coefficient by falling factorial, valid for any integer a.
+    """Binomial coefficient C(a, j) for any integer a: ``math.comb`` for
+    a >= 0, and C(a, j) = (-1)^j C(j - a - 1, j) (upper negation) for a < 0.
 
     >>> gen_binomial(-1, 3)
     -1
@@ -47,29 +48,19 @@ def gen_binomial(a: int, j: int) -> int:
     """
     if j < 0:
         raise ValueError("lower index must be nonnegative")
-    num = 1
-    for t in range(j):
-        num *= a - t
-    return num // factorial(j)
+    return comb(a, j) if a >= 0 else (-1) ** j * comb(j - a - 1, j)
 
 
 def euler_identity_residual(order: int) -> IntPoly:
     """Residual of the binomial recurrence sum against x times the Eulerian
-    polynomial of the same order.
-
-    Zero for order >= 1; the order-0 residual is 1 - x and is documented
-    rather than asserted away.
+    polynomial of the same order: the two-parameter residual at (order, 0),
+    whose last term (1 - x)^(m+1) C(0, m) vanishes except at m = 0.  Zero
+    for order >= 1; the order-0 residual is 1 - x and is documented rather
+    than asserted away.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    x = IntPoly((0, 1))
-    xm1 = IntPoly((-1, 1))
-    acc = IntPoly()
-    shift = IntPoly((1,))
-    for t in range(order + 1):
-        acc = acc + shift * eulerian_poly(order - t) * comb(order, t)
-        shift = shift * xm1
-    return acc - x * eulerian_poly(order)
+    return ab_identity_residual(order, 0) + IntPoly((1, -1) if order == 0 else ())
 
 
 def ab_identity_residual(a: int, b: int) -> IntPoly:

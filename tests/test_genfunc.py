@@ -6,9 +6,11 @@ from threading import Barrier, Thread
 import pytest
 
 from descpoly import verify
-from descpoly.descent import descent_poly_by_closed_form, descent_poly_by_recurrence
+from descpoly.descent import descent_poly_by_closed_form, descent_poly_by_recurrence, kernel_poly
 from descpoly.genfunc import RationalBivariateGF, descent_gf
 from descpoly.polynomial import IntPoly, UsageError
+
+from oracles import geometric_power_coefficient
 
 
 def test_gf_k1_layout():
@@ -107,6 +109,50 @@ def test_convolution_residual_is_zero(k):
     closed = [descent_poly_by_closed_form(n, k) for n in range(13)]
     for r in descent_gf(k).convolution_residual(closed):
         assert r.is_zero()
+
+
+def _low_coefficients(m, k):
+    # coefficients 0..3 of D_{m,k}, m >= k, one at a time from the closed
+    # form: coefficient d is sum_t P_k[t] [u^((k+1)d - t)] G^(m-k)
+    p = kernel_poly(k).coeffs
+    return [
+        sum(
+            p[t] * geometric_power_coefficient(k, m - k, (k + 1) * d - t)
+            for t in range(min(len(p), (k + 1) * d + 1))
+        )
+        for d in range(4)
+    ]
+
+
+def _low_recurrence_residual(denominator, n, k):
+    # coefficients 0..3 of sum_i denominator[i] D_{n-i}, n > k, where the
+    # numerator has ended; each reads only coefficients <= 3 of its rows
+    rows = [_low_coefficients(n - i, k) for i in range(len(denominator))]
+    return [
+        sum(c * row[d - e] for w, row in zip(denominator, rows) for e, c in enumerate(w.coeffs[: d + 1]))
+        for d in range(4)
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_low_coefficients_match_the_closed_form(k):
+    for m in range(k, 40):
+        closed = descent_poly_by_closed_form(m, k)
+        assert _low_coefficients(m, k) == [closed.coefficient(d) for d in range(4)], m
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_denominator_annihilates_the_low_coefficients_at_a_million(k):
+    # the library's own weights, far past any n whose whole row is formed
+    assert _low_recurrence_residual(RationalBivariateGF(k).denominator, 10**6, k) == [0] * 4
+
+
+@pytest.mark.parametrize("k", [1, 8, 12])
+def test_a_perturbed_denominator_weight_fails_at_a_million(k):
+    # C(k, 1) in place of C(k+1, 1) on z^1
+    den = list(RationalBivariateGF(k).denominator)
+    den[1] = den[1] + IntPoly((1,))
+    assert all(_low_recurrence_residual(den, 10**6, k))
 
 
 def test_convolution_residual_detects_a_perturbed_sequence():

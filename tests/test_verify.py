@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from descpoly import verify
+from descpoly import eulerian, verify
 from descpoly.genfunc import RationalBivariateGF
 from descpoly.polynomial import IntPoly
 
@@ -232,3 +232,13 @@ def test_each_check_can_fail(monkeypatch, check, owner, attr, fake, detail):
     result = getattr(verify, "check_" + check)(7, 7)
     assert not result.ok
     assert result.detail == detail
+
+
+def test_a_wrong_eulerian_row_fails_both_identity_checks(monkeypatch):
+    # the Euler identity is the two-parameter identity at b = 0, so both
+    # checks read eulerian_poly through one loop; each must still fail
+    real = eulerian.eulerian_poly
+    monkeypatch.setattr(eulerian, "eulerian_poly", lambda n: real(n) + _U if n == 4 else real(n))
+    euler, ab = verify.check_euler_identity(7, 7), verify.check_ab_identity(7, 7)
+    assert (euler.ok, euler.detail) == (False, "order 4: residual x - x^2")
+    assert (ab.ok, ab.detail) == (False, "a=-2 b=6: residual x - x^2")
