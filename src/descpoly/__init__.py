@@ -9,6 +9,7 @@ bubble-sort view of siteswap juggling sequences.
 
 from .descent import (
     CapExceeded,
+    descent_coefficient,
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
     descent_poly_by_recurrence,
@@ -56,6 +57,7 @@ __all__ = [
     "attach_tail",
     "bounded_drop_count",
     "count_descent_superset",
+    "descent_coefficient",
     "descent_gf",
     "descent_poly_by_closed_form",
     "descent_poly_by_enumeration",

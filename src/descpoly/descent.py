@@ -17,7 +17,7 @@ from math import comb
 
 from .eulerian import eulerian_poly
 from .genfunc import descent_gf
-from .permutation import bounded_drop_words
+from .permutation import _blocks
 from .polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
 
 
@@ -27,17 +27,18 @@ class CapExceeded(UsageError):
 
 def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> IntPoly:
     """The descent polynomial (coefficient r counts the permutations with r
-    descents) by an exact census of the bounded-drop class; refuses n beyond
-    ``cap`` since the work grows like k!(k+1)^(n-k)."""
+    descents) by an exact census, leaf by leaf, of the bounded-drop class;
+    refuses n beyond ``cap`` since the work grows like k!(k+1)^(n-k)."""
     if n < 0 or k < 0:
         raise UsageError("n and k must be nonnegative")
     if n > cap:
         raise CapExceeded(f"enumeration for n={n} exceeds cap {cap}")
     counts = [0] * n if n > 1 else [1]
-    for _, _, _, des_ab, des_ba in bounded_drop_words(n, k):
-        counts[des_ab] += 1
-        if des_ba is not None:
-            counts[des_ba] += 1
+    table, nodes = _blocks(n, k)
+    for open_, tail, des in nodes:
+        t0 = tail[0] if tail else n + 1
+        for w, d in table:
+            counts[des + d + (open_[w[-1]] > t0)] += 1
     return IntPoly(counts)
 
 
@@ -153,3 +154,25 @@ def descent_poly_by_closed_form(n: int, k: int) -> IntPoly:
     if n < k:
         return eulerian_poly(n)
     return kernel_poly(k).product(geometric(k) ** (n - k), k + 1)
+
+
+def descent_coefficient(n: int, k: int, d: int) -> int:
+    """Coefficient d of the descent polynomial alone: the sum over j of
+    P_k[j] [u^((k+1)d - j)] G^(n-k), with P_k the kernel, G = 1 + u + ... + u^k
+    and [u^m] G^N = sum_i (-1)^i C(N, i) C(m - i(k+1) + N - 1, N - 1) by
+    inclusion-exclusion.  At most (k^2 + 1)(d + 1) big-integer terms, so the
+    low end of a row is cheap at any n; n <= k reads the Eulerian polynomial.
+
+    >>> descent_coefficient(10, 1, 2)  # C(n, 2d) at k = 1
+    210
+    """
+    if n < 0 or k < 0 or d < 0:
+        raise UsageError("n, k and d must be nonnegative")
+    if n <= k:
+        return eulerian_poly(n).coefficient(d)
+    N, s = n - k, (k + 1) * d
+    return sum(
+        (-1) ** i * c * comb(N, i) * comb(s - j - i * (k + 1) + N - 1, N - 1)
+        for j, c in enumerate(kernel_poly(k).coeffs[: s + 1])
+        for i in range((s - j) // (k + 1) + 1)
+    )

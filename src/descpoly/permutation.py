@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
-from operator import index, sub
+from operator import index, itemgetter, sub
+
+_BLOCK = 5  # positions filled from one table: of 3..7, 5 ran the route fastest at (9, 5), (9, 8)
 
 
 def _bsort_word(w: Sequence[int]) -> tuple[int, ...]:
@@ -218,29 +221,23 @@ def attach_tail(p: Permutation, tail: Iterable[int]) -> Permutation:
     return Permutation._trusted(tuple([ground[v - 1] for v in p.values] + xs))
 
 
-def bounded_drop_words(n: int, k: int) -> Iterator[tuple[int, int, tuple[int, ...], int, int | None]]:
-    """Yield each last-two-positions node of the maxdrop <= k words of [n] once,
-    as (a, b, tail, des_ab, des_ba) with a < b.  It stands for the words
-    (b, a) + tail, then (a, b) + tail, which have des_ba and des_ab descents;
-    des_ba is None when k = 0 bars (b, a), and n < 2 has no node.  Positions
+def bounded_drop_nodes(n: int, k: int, stop: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield each node of the maxdrop <= k words of [n] with positions 1..stop
+    still open, in generation order, as (open, tail, des): the unused values
+    sorted, the values at positions stop+1..n and their descents.  Positions
     are filled right to left: position i takes one of the top min(i, k+1)
     unused values, as a smaller one would drop by more than k; the search is
     an odometer over those choices with an explicit stack.
     """
-    if n < 2:
-        return
     avail = list(range(1, n + 1))
     tails = [()] * (n + 1)  # tails[i]: the values at positions i+1..n
     des = [0] * (n + 1)  # des[i]: the descents inside tails[i]
     idx = [max(0, i - k - 1) for i in range(n + 1)]  # idx[i]: choice at position i
     i = n
     while True:
-        if i == 2:
-            a, b = avail
-            tail, d = tails[2], des[2]
-            t0 = tail[0] if tail else n + 1
-            yield a, b, tail, d + (b > t0), (d + 1 + (a > t0) if k else None)
-            i = 3
+        if i == stop:
+            yield tuple(avail), tails[i], des[i]
+            i += 1
         elif idx[i] < i:
             v = avail.pop(idx[i])
             tails[i - 1] = (v,) + tails[i]
@@ -256,6 +253,18 @@ def bounded_drop_words(n: int, k: int) -> Iterator[tuple[int, int, tuple[int, ..
         idx[i] += 1
 
 
+@cache
+def _block_table(m: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # the words of [m] as 0-based indices into m sorted values, with their descents
+    return tuple((tuple(v - 1 for v in w), d) for _, w, d in bounded_drop_nodes(m, k, 0))
+
+
+def _blocks(n: int, k: int) -> tuple[tuple, Iterator[tuple]]:
+    # the table of positions 1..m (none for n < 2; 14 at most) and the nodes that leave them open
+    m = min(n, _BLOCK)
+    return (_block_table(m, min(k, m - 1)) if m > 1 else ()), bounded_drop_nodes(n, k, m)
+
+
 def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
     """Yield every permutation of [n] with maxdrop at most k, each exactly
     once, without filtering the full symmetric group."""
@@ -264,10 +273,10 @@ def enumerate_bounded_drop(n: int, k: int) -> Iterator[Permutation]:
     trusted = Permutation._trusted
     if n < 2:
         yield trusted(tuple(range(1, n + 1)))
-    for a, b, tail, _, des_ba in bounded_drop_words(n, k):
-        if des_ba is not None:
-            yield trusted((b, a) + tail)
-        yield trusted((a, b) + tail)
+    table, nodes = _blocks(n, k)
+    for open_, tail, _ in nodes:
+        for w, _ in table:
+            yield trusted(itemgetter(*w)(open_) + tail)
 
 
 def bounded_drop_count(n: int, k: int) -> int:

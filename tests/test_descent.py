@@ -7,6 +7,7 @@ import pytest
 from descpoly.descent import (
     CapExceeded,
     _kernel_sum,
+    descent_coefficient,
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
     descent_poly_by_recurrence,
@@ -47,6 +48,11 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         descent_poly_by_enumeration(11, 1)
     assert descent_poly_by_enumeration(11, 1, cap=11).evaluate(1) == 2**10
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_enumeration_at_its_cap(k):
+    assert descent_poly_by_enumeration(10, k) == descent_poly_by_closed_form(10, k)
 
 
 def test_recurrence_examples():
@@ -112,6 +118,23 @@ def test_closed_form_total_at_large_k(n, k):
 def test_descent_poly_dispatch():
     assert descent_poly_by_enumeration(4, 2) == descent_poly_by_closed_form(4, 2)
     assert descent_poly_by_recurrence(5, 2).evaluate(1) == 2 * 3**3
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_descent_coefficient_is_every_closed_form_coefficient(k):
+    for n in range(41):
+        row = descent_poly_by_closed_form(n, k)
+        assert [descent_coefficient(n, k, d) for d in range(n + 2)] == [
+            row.coefficient(d) for d in range(n + 2)
+        ], n
+
+
+def test_descent_coefficient_at_the_low_end_of_a_long_row():
+    row = descent_poly_by_closed_form(2000, 12)
+    assert [descent_coefficient(2000, 12, d) for d in range(4)] == list(row.coeffs[:4])
+    # k = 1 is the binomial row C(n, 2d), far past any whole row
+    n = 10**6
+    assert [descent_coefficient(n, 1, d) for d in range(4)] == [comb(n, 2 * d) for d in range(4)]
 
 
 def test_kernel_poly_small():
@@ -249,6 +272,7 @@ def test_intro_factorizations():
         lambda: descent_poly_by_enumeration(11, 1),
         lambda: descent_poly_by_recurrence(-1, 2),
         lambda: descent_poly_by_closed_form(3, -1),
+        lambda: descent_coefficient(3, 1, -1),
         lambda: kernel_poly(-1),
         lambda: stretched_kernel_poly(-1),
         lambda: kernel_poly_by_stretch(0),
@@ -259,8 +283,8 @@ def test_intro_factorizations():
         lambda: run_suite("routes", -1, 3),
     ],
     ids=[
-        "enum-k", "enum-cap", "rec-n", "closed-k", "kernel-k", "stretched-k", "stretch-start",
-        "duplication-start", "gf-k", "series-order", "drop", "verify-bounds",
+        "enum-k", "enum-cap", "rec-n", "closed-k", "coefficient-d", "kernel-k", "stretched-k",
+        "stretch-start", "duplication-start", "gf-k", "series-order", "drop", "verify-bounds",
     ],
 )
 def test_bounds_the_cli_reaches_raise_usage_errors(call):

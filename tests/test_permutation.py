@@ -317,10 +317,56 @@ def test_enumeration_order_and_descent_counts_are_pinned():
     assert polys.hexdigest() == "f7dda1f606d16fef97ff657ef85c3d61ae5a8e918f182fc56768d2d1fef36c19"
 
 
+def _counts(n, k):
+    # how many words the generator yields, and how many distinct ones
+    words = [bytes(p.values) for p in enumerate_bounded_drop(n, k)]
+    return len(words), len(set(words))
+
+
 @pytest.mark.parametrize("n", range(10))
 def test_enumeration_count_formula(n):
     for k in range(n + 1):
-        assert sum(1 for _ in enumerate_bounded_drop(n, k)) == bounded_drop_count(n, k)
+        assert _counts(n, k) == (bounded_drop_count(n, k),) * 2
+
+
+def _in_generation_order(words):
+    # the odometer fills positions right to left, each from its smallest choice up
+    return sorted(words, key=lambda w: w[::-1])
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_block_table_is_the_bounded_drop_class(m):
+    for k in range(m + 1):
+        table = permutation._block_table(m, min(k, m - 1))
+        got = [tuple(i + 1 for i in w) for w, _ in table]
+        assert got == _in_generation_order(bounded_drop_by_filter(m, k)), k
+        assert [d for _, d in table] == [len(Permutation(w).descent_set()) for w in got], k
+
+
+def test_block_tables_stay_few():
+    permutation._block_table.cache_clear()
+    for n in range(10):
+        for k in range(n + 1):
+            next(enumerate_bounded_drop(n, k))
+            descent_poly_by_enumeration(n, k)
+    assert permutation._block_table.cache_info().currsize == 14
+
+
+def test_a_wrong_block_table_fails(monkeypatch):
+    real = permutation._block_table
+
+    def one_word_swapped(m, k):
+        # the first word in generation order replaced by the last
+        table = real(m, k)
+        return table[-1:] + table[1:]
+
+    monkeypatch.setattr(permutation, "_block_table", one_word_swapped)
+    result = verify.check_route_agreement(7, 7)
+    assert not result.ok
+    assert result.detail == "n=2 k=1: enumeration=[2] recurrence=[1, 1] closed_form=[1, 1]"
+    # the table keeps its length, so the swapped word shows as a repeat
+    words, distinct = _counts(9, 5)
+    assert words == bounded_drop_count(9, 5) != distinct
 
 
 def test_count_descent_superset_examples():
