@@ -19,7 +19,8 @@ import os
 import sys
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .descent import (
@@ -57,28 +58,44 @@ class Record(NamedTuple):
 # separator carries it, and [] or {} stays as is; a subclass takes the per-item path
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _JSON = json.JSONEncoder()  # for a scalar or a key, which no separator reaches
+_CELLS = {"value": '"%d"', "agree": "%s"}  # a table row's JSON cells; n, k and r are %d
 
 
-def _flat_rows(items: list | tuple) -> bool:  # exact, non-empty dicts of str: scalar
-    keys, values = chain.from_iterable(items), chain.from_iterable(map(dict.values, items))
-    rows = {dict}.issuperset(map(type, items)) and all(items)
-    return rows and {str}.issuperset(map(type, keys)) and _SCALARS.issuperset(map(type, values))
+class _TableRows(map):
+    """``table``'s rows, one-shot: one dict a row to a reader; ``_write_json`` reads ``rows``."""
+
+    def __new__(cls, header: list[str], rows: list[tuple]) -> _TableRows:
+        self = super().__new__(cls, lambda row: dict(zip(header, row), value=str(row[3])), rows)
+        self.header, self.rows = header, rows
+        return self
 
 
 def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would,
     reading an IntPoly as the list of its coefficients in decimal strings and
-    an iterator as a list.  Each container is one step: the C encoder writes
-    one of scalars, or a list of flat rows, in one call; the others recurse."""
+    an iterator as a list.  Each container is one step: one C-encoder call for one of
+    scalars, one ``%`` template a row for ``table``'s rows; the others recurse."""
     inner = indent + "  "
     if isinstance(obj, IntPoly):  # decimal digits and a sign need no escaping
-        if not obj.coeffs:
+        if not (coeffs := obj.coeffs):
             write("[]")
             return
+        digits = list(map(str, coeffs[: (len(coeffs) + 1) // 2] if coeffs == coeffs[::-1] else coeffs))
+        digits += digits[: len(coeffs) - len(digits)][::-1]  # a palindrome: its first half mirrored
         # three writes, so the digits are never copied into a larger string
         write(f'[\n{inner}"')
-        write(f'",\n{inner}"'.join(map(str, obj.coeffs)))
+        write(f'",\n{inner}"'.join(digits))
         write(f'"\n{indent}]')
+        return
+    if isinstance(obj, _TableRows):  # one template a row, the agree flag picking which
+        keys = sorted(obj.header)
+        fields = ",".join(f'\n{inner}  "{key}": {_CELLS.get(key, "%d")}' for key in keys)
+        by_flag = [f"{inner}{{{fields}\n{inner}}}".replace("%s", word) for word in ("false", "true")]
+        cells = itemgetter(*(obj.header.index(key) for key in keys if key != "agree"))
+        texts = (by_flag[row[4:] == (True,)] % cells(row) for row in obj.rows)
+        for i in range(0, len(obj.rows), 1024):  # a batch of rows per write bounds the text in hand
+            write(("," if i else "[") + "\n" + ",\n".join(islice(texts, 1024)))
+        write(f"\n{indent}]")
         return
     if isinstance(obj, Iterator):
         obj = list(obj)
@@ -90,13 +107,6 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
     elif _SCALARS.issuperset(map(type, obj.values() if keyed else obj)):
         body = json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True).encode(obj)
         write(body if len(body) == 2 else f"{body[0]}\n{inner}{body[1:-1]}\n{indent}{body[-1]}")
-    elif not keyed and _flat_rows(obj):  # no string has a raw newline; rows meet at "},\n<indent>{"
-        encoder = json.JSONEncoder(separators=(f",\n{inner}  ", ": "), sort_keys=True)
-        for i in range(0, len(obj), 1024):  # a batch of rows per call bounds the text in hand
-            body = encoder.encode(obj[i : i + 1024])[2:-2]
-            body = body.replace(f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
-            write(f"{',' if i else '['}\n{inner}{{\n{inner}  {body}\n{inner}}}")
-        write(f"\n{indent}]")
     else:
         write("{" if keyed else "[")
         for i, key in enumerate(sorted(obj) if keyed else range(len(obj))):
@@ -168,9 +178,9 @@ def _cmd_table(args: argparse.Namespace) -> Record:
         columns = (repeat(n), repeat(args.k), count(), polys[routes[0]].coeffs or (0,), repeat(agree))
         rows += zip(*columns[: len(header)])  # the agree flag only under its column
 
-    json_rows = (dict(zip(header, row), value=str(row[3])) for row in rows)  # lazy, for emit
-    doc = {"command": "table", "route": args.route, "rows": json_rows}
-    plain = (" ".join(map(str, row)).lower() for row in rows)
+    doc = {"command": "table", "route": args.route, "rows": _TableRows(header, rows)}
+    by_flag = ["%d %d %d %d" + f" {word}" * (len(header) - 4) for word in ("false", "true")]
+    plain = (by_flag[row[4:] == (True,)] % row[:4] for row in rows)  # agree picks the template
     return Record(doc, header, rows, chain(["# " + " ".join(header)], plain), failure)
 
 

@@ -8,12 +8,14 @@ from math import factorial
 import pytest
 from oracles import table_text
 
+from descpoly import cli
 from descpoly.cli import main
 from descpoly.descent import (
     descent_poly_by_closed_form,
     descent_poly_by_enumeration,
     descent_poly_by_recurrence,
 )
+from descpoly.polynomial import IntPoly
 
 ROUTES = {
     "enum": lambda n, k: descent_poly_by_enumeration(n, k, cap=12),
@@ -57,3 +59,21 @@ def test_table_matches_the_dict_per_row_rendering(capsys, route, fmt):
         polys = {n: {name: ROUTES[name](n, k) for name in names} for n in range(lo, hi + 1)}
         assert code == 0, argv
         assert out == table_text(polys, k, route, fmt), argv
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_a_disagreeing_route_prints_agree_false(capsys, monkeypatch, fmt):
+    def perturbed(n, k):  # off by u at n = 4 and 6 only
+        poly = descent_poly_by_recurrence(n, k)
+        return poly + IntPoly((0, 1)) if n in (4, 6) else poly
+
+    monkeypatch.setattr(cli, "descent_poly_by_recurrence", perturbed)
+    code = main(["table", "--n", "2:7", "--k", "2", "--route", "all", "--format", fmt])
+    out, err = capsys.readouterr()
+    routes = {**ROUTES, "rec": perturbed}
+    polys = {n: {name: route(n, 2) for name, route in routes.items()} for n in range(2, 8)}
+    assert code == 1
+    assert out == table_text(polys, 2, "all", fmt)
+    assert {"plain": " false\n", "json": '"agree": false', "csv": ",False\n"}[fmt] in out
+    first = {name: list(p.coeffs) for name, p in polys[4].items()}
+    assert err == f"route disagreement at n=4 k=2: {first}\n"

@@ -65,6 +65,10 @@ SCALAR = (
     | st.integers()
     | st.floats()
     | st.lists(COEFF, max_size=6).map(IntPoly)
+    # palindromes of even and odd length, whose second half of digits is mirrored
+    | st.tuples(st.lists(COEFF, max_size=4), st.booleans()).map(
+        lambda half_odd: IntPoly(half_odd[0] + half_odd[0][-1 - half_odd[1] :: -1])
+    )
 )
 TREES = st.recursive(
     SCALAR,
@@ -93,8 +97,8 @@ class Row(dict):
     """A dict subclass: a row the writer must not take for a plain dict."""
 
 
-# flat rows as ``table`` and ``verify`` print them: hostile strings first, so a
-# row's own text cannot pass for the boundary between two rows or two items
+# lists of rows as ``verify`` prints them, through the writer's generic path:
+# hostile strings first, braces, quotes and control characters in keys and values
 HOSTILE = st.sampled_from(["}", "{", "},{", "},\n    {", "}\x00{", '"', "\x00", "\x1f", "é€𝄞", ""]) | TEXT
 VALUE = HOSTILE | st.booleans() | st.none() | st.integers() | st.floats()
 FLAT = st.dictionaries(HOSTILE, VALUE, max_size=4)
@@ -114,13 +118,67 @@ def test_writer_matches_json_dumps_on_lists_of_rows(rows, nested):
 
 
 @pytest.mark.parametrize("count", [1, 50, 1024, 1025, 2500])
-def test_flat_rows_take_one_write_per_batch(count):
-    rows = [{"n": 3, "r": r, "value": str(3**r), "agree": r % 2 == 0} for r in range(count)]
+def test_table_rows_take_one_write_per_batch(count):
+    header = ["n", "k", "r", "value", "agree"]
+    rows = [(3, 2, r, 3**r, r % 3 == 0) for r in range(count)]
     writes: list[str] = []
-    cli._write_json(rows, writes.append, "  ")
-    # one encoder call per batch of 1,024 rows, then the closing bracket
+    cli._write_json(cli._TableRows(header, rows), writes.append, "  ")
+    # one template string per batch of 1,024 rows, then the closing bracket
     assert len(writes) == -(-count // 1024) + 1
-    assert "".join(writes) == json_text({"rows": rows})[len('{\n  "rows": ') : -2]
+    assert max(piece.count('"value": ') for piece in writes) == min(count, 1024)
+    expected = json_text({"rows": cli._TableRows(header, rows)})
+    assert "".join(writes) == expected[len('{\n  "rows": ') : -2]
+
+
+def test_a_long_table_never_writes_more_than_1024_rows_at_once(capsys, monkeypatch):
+    argv = "table --n 0:90 --k 3 --format json"
+    writes: list[str] = []
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    assert cli.main(argv.split()) == 0
+    rows = [piece.count('"value": ') for piece in writes]
+    assert sum(rows) > 2048
+    assert max(rows) == 1024
+    assert "".join(writes) == json_text(_doc(argv)) + "\n"
+
+
+class Counted(int):
+    """A coefficient that counts its conversions to decimal digits."""
+
+    conversions = 0
+
+    def __str__(self) -> str:
+        Counted.conversions += 1
+        return super().__str__()
+
+
+BIG = 10**4400 + 7  # past CPython's default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "coeffs, conversions",
+    [
+        ((3,), 1),
+        ((1, 4, 4, 1), 2),
+        ((1, 4, 9, 4, 1), 3),
+        ((1, 4, 6, 9, 4, 1), 6),
+        ((1, 4, 9, 4, 2), 5),
+        ((2, 4, 9, 4, 1), 5),
+        ((BIG, -BIG, 5, -BIG, BIG), 3),
+        ((BIG, 1, 1, BIG + 1), 4),
+    ],
+    ids=["one", "even", "odd", "middle-differs", "last-differs", "first-differs", "big", "big-ends-differ"],
+)
+def test_a_palindrome_converts_only_its_first_half(monkeypatch, coeffs, conversions):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as emit does
+    try:
+        poly = IntPoly()
+        poly.coeffs = tuple(map(Counted, coeffs))
+        monkeypatch.setattr(Counted, "conversions", 0)
+        assert _written({"p": poly}) == json_text({"p": IntPoly(coeffs)})
+        assert Counted.conversions == conversions
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
