@@ -35,10 +35,11 @@ def descent_poly_by_enumeration(n: int, k: int, cap: int = 10) -> IntPoly:
         raise CapExceeded(f"enumeration for n={n} exceeds cap {cap}")
     counts = [0] * n if n > 1 else [1]
     table, nodes = _blocks(n, k)
+    ends = [(w[-1], d) for w, d in table]
     for open_, tail, des in nodes:
         t0 = tail[0] if tail else n + 1
-        for w, d in table:
-            counts[des + d + (open_[w[-1]] > t0)] += 1
+        for e, d in ends:
+            counts[des + d + (open_[e] > t0)] += 1
     return IntPoly(counts)
 
 
@@ -160,8 +161,9 @@ def descent_coefficient(n: int, k: int, d: int) -> int:
     """Coefficient d of the descent polynomial alone: the sum over j of
     P_k[j] [u^((k+1)d - j)] G^(n-k), with P_k the kernel, G = 1 + u + ... + u^k
     and [u^m] G^N = sum_i (-1)^i C(N, i) C(m - i(k+1) + N - 1, N - 1) by
-    inclusion-exclusion.  At most (k^2 + 1)(d + 1) big-integer terms, so the
-    low end of a row is cheap at any n; n <= k reads the Eulerian polynomial.
+    inclusion-exclusion.  The product is a palindrome of degree kn: s = (k+1)d is
+    read at min(s, kn - s), 0 past it, so both ends of a row are cheap at any n,
+    in (k^2 + 1)(e + 2) terms, e the distance from d to the nearer end; n <= k reads E_n.
 
     >>> descent_coefficient(10, 1, 2)  # C(n, 2d) at k = 1
     210
@@ -170,7 +172,9 @@ def descent_coefficient(n: int, k: int, d: int) -> int:
         raise UsageError("n, k and d must be nonnegative")
     if n <= k:
         return eulerian_poly(n).coefficient(d)
-    N, s = n - k, (k + 1) * d
+    N, s = n - k, min((k + 1) * d, k * n - (k + 1) * d)
+    if s < 0:
+        return 0
     return sum(
         (-1) ** i * c * comb(N, i) * comb(s - j - i * (k + 1) + N - 1, N - 1)
         for j, c in enumerate(kernel_poly(k).coeffs[: s + 1])

@@ -137,6 +137,26 @@ def test_descent_coefficient_at_the_low_end_of_a_long_row():
     assert [descent_coefficient(n, 1, d) for d in range(4)] == [comb(n, 2 * d) for d in range(4)]
 
 
+def test_descent_coefficient_at_the_top_end_of_a_long_row():
+    # the mirror of a palindrome of degree kn: the top is as cheap as the bottom
+    row = descent_poly_by_closed_form(2000, 12)
+    top = row.degree
+    assert [descent_coefficient(2000, 12, top - e) for e in range(4)] == [
+        row.coefficient(top - e) for e in range(4)
+    ]
+    n = 10**6
+    assert [descent_coefficient(n, 1, n // 2 - e) for e in range(4)] == [
+        comb(n, n - 2 * e) for e in range(4)
+    ]
+
+
+def test_descent_coefficient_past_the_degree_is_zero_at_once():
+    # unmirrored, each of these would sum about 10^8 terms or more
+    assert descent_coefficient(10**6, 12, 12 * 10**6 // 13 + 1) == 0
+    assert descent_coefficient(10**6, 1, 10**6) == 0
+    assert descent_coefficient(10**6, 0, 1) == 0
+
+
 def test_kernel_poly_small():
     assert kernel_poly(0) == IntPoly((1,))
     assert kernel_poly(1) == IntPoly((1, 1))

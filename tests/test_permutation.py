@@ -1,13 +1,14 @@
 import hashlib
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from descpoly import permutation, verify
-from descpoly.descent import descent_poly_by_enumeration
+from descpoly.descent import descent_poly_by_enumeration, descent_poly_by_recurrence
 from descpoly.permutation import (
     DescentSetSpec,
     Permutation,
@@ -19,14 +20,18 @@ from descpoly.permutation import (
     standardize,
     unstandardize,
 )
+from descpoly.polynomial import IntPoly
 
 from oracles import (
     bounded_drop_by_filter,
     bubble_pass,
+    descent_count,
     descent_superset_by_filter,
     descent_superset_multinomial,
+    max_drop,
     stack_pass,
 )
+from test_juggling import _bounded_drop_sample
 
 
 def test_constructor_rejects_non_permutations():
@@ -330,7 +335,7 @@ def test_enumeration_count_formula(n):
 
 
 def _in_generation_order(words):
-    # the odometer fills positions right to left, each from its smallest choice up
+    # positions are filled right to left, each from its smallest choice up
     return sorted(words, key=lambda w: w[::-1])
 
 
@@ -369,6 +374,33 @@ def test_a_wrong_block_table_fails(monkeypatch):
     assert words == bounded_drop_count(9, 5) != distinct
 
 
+def _nodes_by_filter(words, stop):
+    # words of the class in generation order, grouped by the values at positions
+    # stop+1..n in first-seen order: each group's open values and tail descents
+    groups = {}
+    for w in words:
+        groups.setdefault(w[stop:], w[:stop])
+    return [(tuple(sorted(head)), tail, descent_count(tail)) for tail, head in groups.items()]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bounded_drop_nodes_at_every_stop(n):
+    # the symmetric group in generation order, each word with its drop, so
+    # that the class at each k is a filter of it
+    ordered = [(w, max_drop(w)) for w in _in_generation_order(bounded_drop_by_filter(n, n))]
+    for k in range(n + 1):
+        words = [w for w, drop in ordered if drop <= k]
+        for stop in range(n + 1):
+            got = list(permutation.bounded_drop_nodes(n, k, stop))
+            assert got == _nodes_by_filter(words, stop), (k, stop)
+
+
+def test_enumeration_far_past_the_route_cap():
+    # 2,995 one-choice ranges past the table, then 2^13 words at (14, 1)
+    assert list(enumerate_bounded_drop(3000, 0)) == [Permutation.identity(3000)]
+    assert _counts(14, 1) == (2**13, 2**13)
+
+
 def test_count_descent_superset_examples():
     assert count_descent_superset(DescentSetSpec(3, ()), 1) == 4
     spec = DescentSetSpec(5, {4})
@@ -398,6 +430,44 @@ def test_count_descent_superset_exhaustive(n):
             assert count_descent_superset(spec, k) == want, (n, k, sorted(S))
             if k >= n - 1:
                 assert descent_superset_multinomial(n, S) == want, (n, k, sorted(S))
+
+
+def _descent_polys_by_superset_counts(n, ks):
+    # D_{n,k}(y) = sum over S in [n-1] of beta_k(S) (y - 1)^|S|, as every
+    # permutation p has sum over S in Des(p) of (y - 1)^|S| = y^des(p)
+    by_size = {k: [0] * max(n, 1) for k in ks}
+    for S in _subsets(range(1, n)):
+        spec = DescentSetSpec(n, S)
+        for k in ks:
+            by_size[k][len(S)] += count_descent_superset(spec, k)
+    y_minus_1 = IntPoly((-1, 1))
+    return {k: sum((y_minus_1**j * b for j, b in enumerate(bs)), IntPoly()) for k, bs in by_size.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_descent_set_identity_gives_the_descent_polynomial(n):
+    got = _descent_polys_by_superset_counts(n, range(n))
+    for k in range(n):
+        assert got[k] == descent_poly_by_recurrence(n, k), k
+
+
+def test_descent_set_identity_can_fail(monkeypatch):
+    # C(4, 3) one too large: a block of three peeled at k = 3
+    monkeypatch.setattr(permutation, "comb", lambda a, b: comb(a, b) + ((a, b) == (4, 3)))
+    assert _descent_polys_by_superset_counts(10, [3])[3] != descent_poly_by_recurrence(10, 3)
+
+
+@pytest.mark.parametrize("n,k", [(10**4, 1), (10**4, 5), (2000, 12)])
+def test_detach_attach_round_trip_at_scale(n, k):
+    # seeded samples, each peeled at its whole descent set and at a random half of it
+    rng = random.Random(n + k)
+    for _ in range(10):
+        p = Permutation(_bounded_drop_sample(n, k, rng))
+        descents = p.descent_set()
+        for S in (descents, frozenset(i for i in descents if rng.random() < 0.5)):
+            sigma, tail = detach_tail(p, DescentSetSpec(n, S))
+            assert attach_tail(sigma, tail) == p
+            assert sigma.maxdrop() <= k and min(tail) >= n - k, sorted(tail)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 128, 300])
