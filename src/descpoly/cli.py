@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -61,13 +62,12 @@ _JSON = json.JSONEncoder()  # for a scalar or a key, which no separator reaches
 _CELLS = {"value": '"%d"', "agree": "%s"}  # a table row's JSON cells; n, k and r are %d
 
 
-class _TableRows(map):
-    """``table``'s rows, one-shot: one dict a row to a reader; ``_write_json`` reads ``rows``."""
+@dataclass(frozen=True, slots=True)
+class _TableRows:
+    """``table``'s header and row tuples, which ``_write_json`` prints a template a row."""
 
-    def __new__(cls, header: list[str], rows: list[tuple]) -> _TableRows:
-        self = super().__new__(cls, lambda row: dict(zip(header, row), value=str(row[3])), rows)
-        self.header, self.rows = header, rows
-        return self
+    header: list[str]
+    rows: list[tuple]
 
 
 def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -> None:

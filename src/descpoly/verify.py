@@ -8,8 +8,11 @@ Suites: ``identities``, ``routes``, ``bijections``, ``juggling``,
 Each check is a case stream: a generator that yields the claim's name first,
 then one verdict per case, ``True`` or the failure text, as in
 ``yield got == want or f"n={n}: got {got}"`` (the ``or`` builds the text only
-on failure).  ``_check`` turns it into ``check_x(nmax, kmax) -> CheckResult``;
-the first text fails the check, and no case after it runs.
+on failure).  ``@_check("suite")`` turns it into
+``check_x(nmax, kmax) -> CheckResult`` and registers it in ``SUITES`` under
+that suite, so the decorator is the one place a check names its suite and
+definition order is run order; the first text fails the check, and no case
+after it runs.
 """
 
 from __future__ import annotations
@@ -59,30 +62,36 @@ class CheckResult:
     cases: int = field(default=0, compare=False)
 
 
-def _check(body):
-    """Wrap a case stream as a check; a verdict that is neither ``True`` nor
-    a non-empty text is a ``TypeError``."""
-
-    @wraps(body)
-    def check(nmax: int, kmax: int) -> CheckResult:
-        verdicts = body(nmax, kmax)
-        name = next(verdicts)
-        cases = 0
-        for verdict in verdicts:
-            if verdict is not True:
-                if not (isinstance(verdict, str) and verdict):
-                    raise TypeError(f"{body.__name__} yielded {verdict!r}, not True or a text")
-                return CheckResult(name, False, verdict, cases)
-            cases += 1
-        return CheckResult(name, True, cases=cases)
-
-    return check
+SUITES: dict[str, list] = {}
 
 
-# --- identities ---------------------------------------------------------
+def _check(suite: str):
+    """Wrap a case stream as a check and append it to ``SUITES[suite]``; a
+    suite runs its checks in definition order, and the suites run in the
+    order their first checks are defined.  A verdict that is neither
+    ``True`` nor a non-empty text is a ``TypeError``."""
+
+    def register(body):
+        @wraps(body)
+        def check(nmax: int, kmax: int) -> CheckResult:
+            verdicts = body(nmax, kmax)
+            name = next(verdicts)
+            cases = 0
+            for verdict in verdicts:
+                if verdict is not True:
+                    if not (isinstance(verdict, str) and verdict):
+                        raise TypeError(f"{body.__name__} yielded {verdict!r}, not True or a text")
+                    return CheckResult(name, False, verdict, cases)
+                cases += 1
+            return CheckResult(name, True, cases=cases)
+
+        SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return register
 
 
-@_check
+@_check("identities")
 def check_euler_identity(nmax: int, kmax: int):
     yield f"Eulerian binomial identity residual is zero for orders 1..{kmax}"
     r0 = euler_identity_residual(0)
@@ -94,7 +103,7 @@ def check_euler_identity(nmax: int, kmax: int):
         yield r.is_zero() or f"order {order}: residual {r.pretty('x')}"
 
 
-@_check
+@_check("identities")
 def check_ab_identity(nmax: int, kmax: int):
     bound = 6
     yield f"two-parameter Eulerian identity holds on [-{bound},{bound}]^2 with a+b >= 0"
@@ -104,10 +113,7 @@ def check_ab_identity(nmax: int, kmax: int):
             yield r.is_zero() or f"a={a} b={b}: residual {r.pretty('x')}"
 
 
-# --- routes -------------------------------------------------------------
-
-
-@_check
+@_check("routes")
 def check_route_agreement(nmax: int, kmax: int):
     yield f"enumeration, recurrence and closed form agree for 0 <= k < n <= {nmax}"
     for n in range(1, nmax + 1):
@@ -121,7 +127,7 @@ def check_route_agreement(nmax: int, kmax: int):
             )
 
 
-@_check
+@_check("routes")
 def check_cardinality(nmax: int, kmax: int):
     yield f"descent polynomial at 1 equals k!(k+1)^(n-k) for k <= n <= {nmax}"
     for n in range(nmax + 1):
@@ -131,7 +137,7 @@ def check_cardinality(nmax: int, kmax: int):
             yield got == want or f"n={n} k={k}: got {got}, want {want}"
 
 
-@_check
+@_check("routes")
 def check_eulerian_ceiling(nmax: int, kmax: int):
     yield f"descent polynomial is Eulerian once k >= n-1, for n <= {nmax}"
     # the series, numerator terms too (n <= k); descent_gf(k) is O(k^3) cold: bound k for big nmax
@@ -141,7 +147,7 @@ def check_eulerian_ceiling(nmax: int, kmax: int):
             yield got == want or f"n={n} k={k}: got {list(got.coeffs)}, want {list(want.coeffs)}"
 
 
-@_check
+@_check("routes")
 def check_binomial_row(nmax: int, kmax: int):
     yield f"drop bound 1 gives binomial coefficients n choose 2d, for n <= {nmax}"
     for n in range(1, nmax + 1):
@@ -151,7 +157,7 @@ def check_binomial_row(nmax: int, kmax: int):
             yield got == want or f"n={n} d={d}: got {got}, want {want}"
 
 
-@_check
+@_check("routes")
 def check_intro_factorizations(nmax: int, kmax: int):
     yield f"low-order product factorizations reproduce the k=2 and k=3 polynomials, n <= {nmax}"
     for k, base, n0 in (2, IntPoly((1, 0, 1)), 1), (3, IntPoly((1, 0, 1, 2, 1, 0, 1)), 2):
@@ -161,7 +167,7 @@ def check_intro_factorizations(nmax: int, kmax: int):
             yield got == want or f"k={k} n={n}: got {list(got.coeffs)}, want {list(want.coeffs)}"
 
 
-@_check
+@_check("routes")
 def check_gf_series(nmax: int, kmax: int):
     yield f"generating function series matches the recurrence for n <= {nmax}, k <= {kmax}"
     for k in range(kmax + 1):
@@ -174,7 +180,7 @@ def check_gf_series(nmax: int, kmax: int):
             )
 
 
-@_check
+@_check("routes")
 def check_gf_convolution(nmax: int, kmax: int):
     yield f"denominator convolution of the series returns the numerator, order <= {nmax}, k <= {kmax}"
     for k in range(kmax + 1):
@@ -183,10 +189,7 @@ def check_gf_convolution(nmax: int, kmax: int):
             yield r.is_zero() or f"k={k} z^{n}: residual {r.pretty('y')}"
 
 
-# --- bijections ---------------------------------------------------------
-
-
-@_check
+@_check("bijections")
 def check_worked_examples(nmax: int, kmax: int):
     yield "worked tail-peeling examples reproduce exactly"
     sigma, xs = detach_tail(
@@ -211,7 +214,7 @@ def _specs(n: int, forced: frozenset[int] = frozenset()):
     return cache(lambda ds: [pair(S) for S in _subsets(ds)])
 
 
-@_check
+@_check("bijections")
 def check_bijection_round_trip(nmax: int, kmax: int):
     """Peel then reattach every (p, S), and attach then peel every (p, X),
     checking that the drop bound k survives each map.
@@ -262,7 +265,7 @@ def check_bijection_round_trip(nmax: int, kmax: int):
                     )
 
 
-@_check
+@_check("bijections")
 def check_count_agreement(nmax: int, kmax: int):
     yield f"tail-peeling count recurrence matches brute force for n <= {nmax}"
     for n in range(nmax + 1):
@@ -277,7 +280,7 @@ def check_count_agreement(nmax: int, kmax: int):
                 yield brute == rec or f"n={n} k={k} S={sorted(S)}: brute {brute}, recurrence {rec}"
 
 
-@_check
+@_check("bijections")
 def check_standardization(nmax: int, kmax: int):
     bound = min(nmax, 5)
     yield f"standardization round trips and preserves descent sets, words of length <= {bound}"
@@ -294,10 +297,7 @@ def check_standardization(nmax: int, kmax: int):
                 yield word_descents == descents or f"ground={ground} p={p}: descent sets differ"
 
 
-# --- juggling -----------------------------------------------------------
-
-
-@_check
+@_check("juggling")
 def check_example_sequence(nmax: int, kmax: int):
     yield "the five-throw example sequence is a valid two-ball siteswap"
     T = JugglingSequence((3, 5, 0, 2, 0))
@@ -305,7 +305,7 @@ def check_example_sequence(nmax: int, kmax: int):
     yield T.ball_count() == 2 or f"ball count {T.ball_count()} != 2"
 
 
-@_check
+@_check("juggling")
 def check_encoding(nmax: int, kmax: int):
     yield f"permutation encoding is a valid injective k-ball siteswap, n <= {nmax}"
     for n in range(1, nmax + 1):
@@ -319,7 +319,7 @@ def check_encoding(nmax: int, kmax: int):
                 seen.add(T.throws)
 
 
-@_check
+@_check("juggling")
 def check_bubble_commutation(nmax: int, kmax: int):
     yield f"removing a ball commutes with one bubble pass, n <= {nmax}"
     for n in range(1, nmax + 1):
@@ -330,7 +330,7 @@ def check_bubble_commutation(nmax: int, kmax: int):
                 yield lhs == rhs or f"n={n} k={k} p={p.values}: {lhs.throws} != {rhs.throws}"
 
 
-@_check
+@_check("juggling")
 def check_sorting_lemmas(nmax: int, kmax: int):
     yield f"bubble passes equal maxdrop, drop one level, and bound stack sort, n <= {nmax}"
     for n in range(nmax + 1):
@@ -347,10 +347,7 @@ def check_sorting_lemmas(nmax: int, kmax: int):
             yield q == ident or f"p={vals}: {md} stack passes gave {q.values}"
 
 
-# --- structure ----------------------------------------------------------
-
-
-@_check
+@_check("structure")
 def check_kernel_structure(nmax: int, kmax: int):
     yield f"kernel polynomials have degree k^2, symmetry, unimodality and unit ends, k <= {kmax}"
     for k in range(kmax + 1):
@@ -361,7 +358,7 @@ def check_kernel_structure(nmax: int, kmax: int):
         yield p.is_unimodal() or f"k={k}: not unimodal: {list(p.coeffs)}"
 
 
-@_check
+@_check("structure")
 def check_kernel_constructions(nmax: int, kmax: int):
     yield f"all four kernel constructions agree, 1 <= k <= {kmax}"
     for k in range(1, kmax + 1):
@@ -380,43 +377,12 @@ def check_kernel_constructions(nmax: int, kmax: int):
         yield stretched.degree == k * k + k or f"k={k}: stretched degree {stretched.degree}"
 
 
-@_check
+@_check("structure")
 def check_kernel_multisection(nmax: int, kmax: int):
     yield f"every (k+1)-th kernel coefficient gives the Eulerian polynomial, k <= {kmax}"
     for k in range(kmax + 1):
         got = kernel_poly(k).multisect(k + 1)
         yield got == eulerian_poly(k) or f"k={k}: got {list(got.coeffs)}"
-
-
-SUITES: dict[str, list] = {
-    "identities": [check_euler_identity, check_ab_identity],
-    "routes": [
-        check_route_agreement,
-        check_cardinality,
-        check_eulerian_ceiling,
-        check_binomial_row,
-        check_intro_factorizations,
-        check_gf_series,
-        check_gf_convolution,
-    ],
-    "bijections": [
-        check_worked_examples,
-        check_bijection_round_trip,
-        check_count_agreement,
-        check_standardization,
-    ],
-    "juggling": [
-        check_example_sequence,
-        check_encoding,
-        check_bubble_commutation,
-        check_sorting_lemmas,
-    ],
-    "structure": [
-        check_kernel_structure,
-        check_kernel_constructions,
-        check_kernel_multisection,
-    ],
-}
 
 
 def run_suite(suite: str, nmax: int, kmax: int) -> list[CheckResult]:

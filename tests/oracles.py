@@ -13,8 +13,9 @@ import io
 import json
 from collections.abc import Iterator
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
+from descpoly.cli import _TableRows
 from descpoly.polynomial import IntPoly
 
 
@@ -121,9 +122,49 @@ def remove_ball_word(seg: tuple) -> tuple:
     return remove_ball_word(seg[:j]) + seg[j + 1 :] + (top - len(seg) - 1,)
 
 
+def _scaled_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of ``a`` by ``b`` (coefficients from y^0, no zero on top)
+    times a positive integer: each step scales by |lc(b)|, never by lc(b)."""
+    a, lc = list(a), b[-1]
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [x * abs(lc) for x in a]
+        for i, y in enumerate(b):
+            a[shift + i] -= (c if lc > 0 else -c) * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def is_real_rooted(coeffs) -> bool:
+    """Whether the integer polynomial sum coeffs[i] y^i, no zero on top, has
+    only real roots, by an integer-only Sturm count.  Each next term is minus a
+    pseudo-remainder scaled by a positive factor and divided by its content,
+    so every sign is the true Sturm sequence's.  Sign changes at -infinity
+    minus those at +infinity count the distinct real roots; there are
+    ``degree - degree(last term)`` distinct roots in all, the last term
+    being the gcd with the derivative."""
+    seq = [list(coeffs)]
+    term = [i * c for i, c in enumerate(seq[0])][1:]
+    while term:
+        seq.append(term)
+        r = _scaled_remainder(seq[-2], term)
+        g = gcd(*r)
+        term = [-x // g for x in r]
+
+    def changes(signs: list[bool]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_plus = [t[-1] > 0 for t in seq]
+    at_minus = [(t[-1] > 0) == (len(t) % 2 == 1) for t in seq]  # odd degree flips the sign
+    return changes(at_minus) - changes(at_plus) == len(seq[0]) - len(seq[-1])
+
+
 def _json_default(obj: object) -> list:
     if isinstance(obj, IntPoly):
         return [str(c) for c in obj.coeffs]
+    if isinstance(obj, _TableRows):  # one dict a row, as table_text renders them
+        return [dict(zip(obj.header, row), value=str(row[3])) for row in obj.rows]
     if isinstance(obj, Iterator):
         return list(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -132,7 +173,8 @@ def _json_default(obj: object) -> list:
 def json_text(doc: object) -> str:
     """The CLI's JSON for ``doc``, without the final newline, by
     ``json.dumps(indent=2, sort_keys=True)``: an IntPoly is the list of its
-    coefficients in decimal strings, an iterator a list."""
+    coefficients in decimal strings, ``table``'s rows one dict a row, an
+    iterator a list."""
     return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
 
 

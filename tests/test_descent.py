@@ -24,7 +24,7 @@ from descpoly.permutation import Permutation
 from descpoly.polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
 from descpoly.verify import run_suite
 
-from oracles import bounded_drop_census
+from oracles import bounded_drop_census, is_real_rooted
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,6 +266,40 @@ def test_observation_descent_poly_is_unimodal(k):
     # an observation on n <= 200, not a claim: the abstract states unimodality
     # for the kernels, not for D_{n,k}
     assert all(D.is_unimodal() for D in descent_gf(k).series(200))
+
+
+def test_the_sturm_count_on_its_controls():
+    assert not is_real_rooted([1, 1, 1])
+    assert is_real_rooted([1, 3, 3, 1])  # (1 + y)^3: one root, three times
+    # a negative leading coefficient, where scaling by lc instead of |lc| flips signs
+    assert is_real_rooted([0, 1, 0, -1])
+    assert not is_real_rooted([0, -1, 0, -1])
+    assert is_real_rooted(eulerian_poly(10).coeffs)
+    coeffs = list(descent_poly_by_closed_form(12, 3).coeffs)
+    assert is_real_rooted(coeffs)
+    coeffs[5] //= 50
+    assert not is_real_rooted(coeffs)
+
+
+def test_observation_descent_poly_is_real_rooted():
+    """An observation on 1 <= k <= 12 and k < n <= 40, not a claim of the
+    paper: D_{n,k} has only real roots.  With positive coefficients that
+    implies log-concavity and so unimodality (Brenti, Mem. AMS 413, 1989), a
+    stronger fact than the unimodality observed above; n <= k is the
+    Eulerian case, real-rooted since Frobenius."""
+    cases = [(n, k) for k in range(1, 13) for n in range(k + 1, 41)]
+    assert len(cases) == 402
+    rows = {(n, k): descent_poly_by_closed_form(n, k).coeffs for n, k in cases}
+    assert [case for case, coeffs in rows.items() if not is_real_rooted(coeffs)] == []
+
+
+def test_observation_kernel_is_not_log_concave():
+    """P_k is unimodal, as the abstract claims, but not log-concave for any
+    2 <= k <= 48, so no structure check may claim log-concavity for it."""
+    assert kernel_poly(2).coeffs == (1, 1, 2, 1, 1)  # 1 * 1 < 1 * 2 at u^1
+    for k in range(2, 49):
+        c = kernel_poly(k).coeffs
+        assert any(c[i] ** 2 < c[i - 1] * c[i + 1] for i in range(1, len(c) - 1)), k
 
 
 def test_kernel_golden_table():

@@ -9,7 +9,8 @@ from descpoly.polynomial import IntPoly
 
 def test_every_check_is_registered_once():
     # run_suite and the traced benchmark both reach the checks only through
-    # SUITES, so a check left out of it, or listed twice, goes unreported
+    # SUITES, and @_check registers each check there where it is defined; a
+    # check_* function left undecorated would go unrun and unreported
     defined = sorted(
         name
         for name, value in vars(verify).items()
@@ -56,13 +57,14 @@ def test_every_check_passes_with_its_case_count_at_the_cli_defaults():
     assert min(CASES_AT_DEFAULTS.values()) > 0
 
 
-@verify._check
-def check_three_cases(nmax, kmax):
-    yield "a claim"
-    yield from (True, nmax == 0 or f"nmax={nmax}", True)
+def test_a_check_counts_the_cases_before_its_counterexample(monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {})
 
+    @verify._check("identities")
+    def check_three_cases(nmax, kmax):
+        yield "a claim"
+        yield from (True, nmax == 0 or f"nmax={nmax}", True)
 
-def test_a_check_counts_the_cases_before_its_counterexample():
     assert check_three_cases(0, 0) == verify.CheckResult("a claim", True)
     assert check_three_cases(0, 0).cases == 3
     failed = check_three_cases(2, 0)
@@ -72,7 +74,9 @@ def test_a_check_counts_the_cases_before_its_counterexample():
 
 @pytest.mark.parametrize("verdict", [False, "", None, 1, ["text"]])
 def test_a_verdict_neither_true_nor_text_fails_its_check_by_name(monkeypatch, verdict):
-    @verify._check
+    monkeypatch.setattr(verify, "SUITES", {})
+
+    @verify._check("identities")
     def check_forgot_its_text(nmax, kmax):
         yield "a claim"
         yield True
@@ -80,7 +84,7 @@ def test_a_verdict_neither_true_nor_text_fails_its_check_by_name(monkeypatch, ve
 
     with pytest.raises(TypeError, match="check_forgot_its_text yielded"):
         check_forgot_its_text(7, 7)
-    monkeypatch.setitem(verify.SUITES, "identities", [check_forgot_its_text])
+    assert verify.SUITES == {"identities": [check_forgot_its_text]}
     [result] = verify.run_suite("identities", 7, 7)
     assert result == verify.CheckResult(
         "check_forgot_its_text",
