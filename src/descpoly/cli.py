@@ -44,9 +44,18 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+def _batches(templates: tuple, rows: Iterable[Sequence], sep="\n", cells=tuple) -> Iterator[str]:
+    """``rows`` as strings of up to 1,024 joined by ``sep``, one ``%`` each: a row fills ``templates[0]``,
+    or of two the one its agree flag (a fifth cell) picks, with ``cells(row)``."""
+    rows, one = iter(rows), len(templates) == 1
+    while batch := list(islice(rows, 1024)):
+        picked = templates * len(batch) if one else [templates[row[4:] == (True,)] for row in batch]
+        yield sep.join(picked) % tuple(chain.from_iterable(map(cells, batch)))
+
+
 class Record(NamedTuple):
-    """One subcommand's results for any format: ``rows`` (CSV) and ``lines`` (plain) are
-    lazy, but ``table``'s rows are tuples every format reads; ``failure`` is a failed check."""
+    """One subcommand's results for any format: lazy ``lines`` (plain) and ``rows`` (CSV), cells
+    for csv to quote under ``header`` or lines if it is empty; ``failure`` is a failed check."""
 
     doc: dict
     header: list[str]
@@ -60,6 +69,9 @@ class Record(NamedTuple):
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _JSON = json.JSONEncoder()  # for a scalar or a key, which no separator reaches
 _CELLS = {"value": '"%d"', "agree": "%s"}  # a table row's JSON cells; n, k and r are %d
+# a table row's plain and CSV templates: one, or under an agree column the (false, true) pair
+_PLAIN = ("%d %d %d %d",), ("%d %d %d %d false", "%d %d %d %d true")
+_CSV = ("%d,%d,%d,%d",), ("%d,%d,%d,%d,False", "%d,%d,%d,%d,True")
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,11 +102,10 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
     if isinstance(obj, _TableRows):  # one template a row, the agree flag picking which
         keys = sorted(obj.header)
         fields = ",".join(f'\n{inner}  "{key}": {_CELLS.get(key, "%d")}' for key in keys)
-        by_flag = [f"{inner}{{{fields}\n{inner}}}".replace("%s", word) for word in ("false", "true")]
+        by_flag = tuple(f"{inner}{{{fields}\n{inner}}}".replace("%s", word) for word in ("false", "true"))
         cells = itemgetter(*(obj.header.index(key) for key in keys if key != "agree"))
-        texts = (by_flag[row[4:] == (True,)] % cells(row) for row in obj.rows)
-        for i in range(0, len(obj.rows), 1024):  # a batch of rows per write bounds the text in hand
-            write(("," if i else "[") + "\n" + ",\n".join(islice(texts, 1024)))
+        for i, text in enumerate(_batches(by_flag[: len(obj.header) - 3], obj.rows, ",\n", cells)):
+            write(("," if i else "[") + "\n" + text)  # a batch of rows per write bounds the text in hand
         write(f"\n{indent}]")
         return
     if isinstance(obj, Iterator):
@@ -131,10 +142,10 @@ def emit(fmt: str, record: Record) -> int:
         if fmt == "json":
             _write_json(record.doc, sys.stdout.write)
             sys.stdout.write("\n")
-        elif fmt == "csv":
+        elif fmt == "csv" and record.header:  # verify's detail texts carry commas and quotes
             csv.writer(sys.stdout, lineterminator="\n").writerows(chain([record.header], record.rows))
-        else:
-            sys.stdout.writelines(map("{}\n".format, record.lines))
+        else:  # a string may hold a batch of lines
+            sys.stdout.writelines(map("{}\n".format, record.rows if fmt == "csv" else record.lines))
         sys.stdout.flush()  # a closed pipe is met here, not at exit
     finally:
         with _LIFT:
@@ -179,9 +190,10 @@ def _cmd_table(args: argparse.Namespace) -> Record:
         rows += zip(*columns[: len(header)])  # the agree flag only under its column
 
     doc = {"command": "table", "route": args.route, "rows": _TableRows(header, rows)}
-    by_flag = ["%d %d %d %d" + f" {word}" * (len(header) - 4) for word in ("false", "true")]
-    plain = (by_flag[row[4:] == (True,)] % row[:4] for row in rows)  # agree picks the template
-    return Record(doc, header, rows, chain(["# " + " ".join(header)], plain), failure)
+    cells = itemgetter(slice(4))  # an agree flag picks its row's template and fills no cell
+    plain = chain(["# " + " ".join(header)], _batches(_PLAIN[len(header) - 4], rows, cells=cells))
+    csv_lines = chain([",".join(header)], _batches(_CSV[len(header) - 4], rows, cells=cells))
+    return Record(doc, [], csv_lines, plain, failure)
 
 
 def _kernel(k: int, which: str, construction: str) -> IntPoly:
@@ -218,11 +230,11 @@ def _cmd_poly(args: argparse.Namespace) -> Record:
             yield f"agree: {str(agree).lower()}"
 
     doc = {"command": "poly", "k": k, "which": which, "constructions": built, "agree": agree}
-    header = ["k", "which", "construction", "exponent", "coefficient"]
-    cells = ([k, which, name, e, c] for name, p in built.items() for e, c in enumerate(p.coeffs))
+    cells = ((k, which, name, e, c) for name, p in built.items() for e, c in enumerate(p.coeffs))
+    csv_lines = chain(["k,which,construction,exponent,coefficient"], _batches(("%d,%s,%s,%d,%d",), cells))
     coeffs = {name: list(p.coeffs) for name, p in built.items()}
     failure = None if agree else f"construction disagreement for {which} at k={k}: {coeffs}"
-    return Record(doc, header, cells, lines(), failure)
+    return Record(doc, [], csv_lines, lines(), failure)
 
 
 def _cmd_gf(args: argparse.Namespace) -> Record:
@@ -233,7 +245,8 @@ def _cmd_gf(args: argparse.Namespace) -> Record:
     cells = (zip(repeat(part), repeat(zpow), count(), p.coeffs) for part, zpow, p in terms)
     plain = (f"{part} z^{zpow}: {p.pretty('y')}" for part, zpow, p in terms)
     lines = chain([f"# generating function, k={args.k}"], plain)
-    return Record(doc, ["part", "zpow", "ypow", "value"], chain.from_iterable(cells), lines)
+    csv_lines = chain(["part,zpow,ypow,value"], _batches(("%s,%d,%d,%d",), chain.from_iterable(cells)))
+    return Record(doc, [], csv_lines, lines)
 
 
 def _cmd_juggle(args: argparse.Namespace) -> Record:
@@ -259,8 +272,9 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
         "crosscheck": crosscheck,
     }
 
-    def cells():  # a tuple is one cell of space-separated entries; csv writes None empty
-        yield [" ".join(map(str, v)) if isinstance(v, tuple) else v for v in fields.values()]
+    def cells():  # a tuple is one cell of space-separated entries; None is empty, as in csv
+        values = fields.values()
+        yield [" ".join(map(str, v)) if isinstance(v, tuple) else "" if v is None else v for v in values]
 
     def lines():
         yield f"perm: {p.values}"
@@ -280,7 +294,8 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
             f"bubble crosscheck: mismatch: one ball removed gives {reduced}, "
             f"the bubble-sorted permutation encodes {expected}"
         )
-    return Record({"command": "juggle", **fields}, list(fields), cells(), lines(), failure)
+    csv_lines = chain([",".join(fields)], _batches(("%s,%s,%s,%s,%s,%s,%s",), cells()))  # a bool as True
+    return Record({"command": "juggle", **fields}, [], csv_lines, lines(), failure)
 
 
 def _verdict(r: CheckResult) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .eulerian import eulerian_poly
+from .eulerian import eulerian_poly, eulerian_rows
 from .genfunc import descent_gf
 from .permutation import _blocks
 from .polynomial import IntPoly, NegativeExponentResidue, UsageError, geometric
@@ -63,8 +63,8 @@ def _kernel_sum(k: int, mod: int) -> IntPoly:
     if k < 0:
         raise UsageError("k must be nonnegative")
     total = IntPoly()
-    for j in range(k + 1):
-        head = (eulerian_poly(k - j) * IntPoly((-1, 1)) ** j).substitute_power(mod)
+    for j, row in zip(range(k, -1, -1), eulerian_rows()):  # row is E_{k-j}
+        head = (IntPoly(row) * IntPoly((-1, 1)) ** j).substitute_power(mod)
         total = total + head * IntPoly([comb(k - t, j) for t in range(k - j + 1)])
     for e, c in enumerate(total.coeffs[:k]):
         if c:

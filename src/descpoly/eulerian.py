@@ -8,7 +8,9 @@ identity checkers return the difference of the two sides as a polynomial, so
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
+from itertools import count, islice
 from math import comb
 
 from .polynomial import IntPoly
@@ -24,17 +26,21 @@ def eulerian_number(n: int, k: int) -> int:
     return eulerian_poly(n).coefficient(k)
 
 
+def eulerian_rows() -> Iterator[list[int]]:
+    """Rows 0, 1, 2, ... of the Eulerian triangle by A(m, j) = (j+1) A(m-1, j) + (m-j) A(m-1, j-1)
+    (*Concrete Mathematics*, 2nd ed., eq. 6.35): O(n^2) ops to row n, one row held at a time."""
+    row = [1]
+    for m in count(1):
+        yield row  # order m - 1
+        row = [(j + 1) * a + (m - j) * b for j, a, b in zip(range(m), row + [0], [0] + row)]
+
+
 @cache
 def eulerian_poly(n: int) -> IntPoly:
-    """The order-n Eulerian polynomial as an ``IntPoly``; orders 0 and 1 are 1.
-    Rows are built in a loop by A(m, j) = (j+1) A(m-1, j) + (m-j) A(m-1, j-1)
-    (*Concrete Mathematics*, 2nd ed., eq. 6.35): O(n^2) ops, no recursion."""
+    """The order-n Eulerian polynomial, row n of :func:`eulerian_rows`; orders 0 and 1 are 1."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    row = [1]
-    for m in range(2, n + 1):
-        row = [(j + 1) * a + (m - j) * b for j, a, b in zip(range(m), row + [0], [0] + row)]
-    return IntPoly(row)
+    return IntPoly(next(islice(eulerian_rows(), n, None)))
 
 
 def gen_binomial(a: int, j: int) -> int:

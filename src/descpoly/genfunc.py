@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import comb
 
-from .eulerian import eulerian_poly
+from .eulerian import eulerian_rows
 from .polynomial import IntPoly, UsageError
 
 
@@ -41,7 +41,7 @@ class RationalBivariateGF:
         if self.k < 0:
             raise UsageError("k must be nonnegative")
         binoms, ym1 = _binomials(self.k), IntPoly((-1, 1))
-        eulerian = [eulerian_poly(t) for t in range(self.k + 1)]
+        eulerian = list(map(IntPoly, islice(eulerian_rows(), self.k + 1)))
         num = (e - IntPoly(_weighted_sum(binoms, eulerian, t)) for t, e in enumerate(eulerian))
         object.__setattr__(self, "numerator", tuple(num))
         den = (IntPoly((1,)), *(-(binoms[i] * ym1 ** (i - 1)) for i in range(1, self.k + 2)))

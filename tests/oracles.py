@@ -202,3 +202,37 @@ def table_text(polys: dict, k: int, route: str, fmt: str) -> str:
     lines = ["# " + " ".join(header)]
     lines += [" ".join(str(v).lower() for v in row.values()) for row in rows]
     return "".join(line + "\n" for line in lines)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """``header`` then ``rows`` through ``csv.writer``, which quotes what needs
+    quoting and writes None as an empty cell, as the CLI's CSV first did."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+def gf_csv(parts: dict) -> str:
+    """The stdout of ``descpoly gf --format csv`` for ``parts`` (part name ->
+    the y-polynomials of that part, by power of z): a row per coefficient."""
+    rows = [
+        (part, zpow, ypow, c)
+        for part, polys in parts.items()
+        for zpow, p in enumerate(polys)
+        for ypow, c in enumerate(p.coeffs)
+    ]
+    return csv_text(["part", "zpow", "ypow", "value"], rows)
+
+
+def poly_csv(k: int, which: str, built: dict) -> str:
+    """The stdout of ``descpoly poly --format csv`` for the kernels ``built``
+    (construction name -> IntPoly): a row per coefficient."""
+    rows = [(k, which, name, e, c) for name, p in built.items() for e, c in enumerate(p.coeffs)]
+    return csv_text(["k", "which", "construction", "exponent", "coefficient"], rows)
+
+
+def juggle_csv(fields: dict) -> str:
+    """The stdout of ``descpoly juggle --format csv`` for ``fields`` (column ->
+    value): one row, a tuple one cell of space-separated entries."""
+    row = [" ".join(map(str, v)) if isinstance(v, tuple) else v for v in fields.values()]
+    return csv_text(list(fields), [row])

@@ -3,6 +3,7 @@ tests hold its stdout to the dict-per-row rendering it replaced,
 ``oracles.table_text``, byte for byte, over ranges of n, every drop bound up
 to 10 and every route."""
 
+import functools
 from math import factorial
 
 import pytest
@@ -77,3 +78,22 @@ def test_a_disagreeing_route_prints_agree_false(capsys, monkeypatch, fmt):
     assert {"plain": " false\n", "json": '"agree": false', "csv": ",False\n"}[fmt] in out
     first = {name: list(p.coeffs) for name, p in polys[4].items()}
     assert err == f"route disagreement at n=4 k=2: {first}\n"
+
+
+@functools.cache
+def _identity_rows(count: int, route: str) -> dict:
+    # at k = 0 each n has one row, the identity's, so n = 0..count-1 is count rows
+    routes = {**ROUTES, "enum": lambda n, k: descent_poly_by_enumeration(n, k, cap=n)}
+    names = list(routes) if route == "all" else [route]
+    return {n: {name: routes[name](n, 0) for name in names} for n in range(count)}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+@pytest.mark.parametrize("route", ["rec", "all"])
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
+def test_tables_across_the_1024_row_batch_edges(capsys, count, route, fmt):
+    argv = ["table", "--n", f"0:{count - 1}", "--k", "0", "--route", route, "--format", fmt]
+    assert main([*argv, "--nmax", str(count)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == count + 1
+    assert out == table_text(_identity_rows(count, route), 0, route, fmt)

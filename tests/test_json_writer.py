@@ -3,15 +3,17 @@ time; these tests hold it to the text of the standard library's pretty
 printer, ``oracles.json_text``, byte for byte."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import json_text
+from oracles import json_text, table_text
 
 from descpoly import cli
+from descpoly.descent import descent_poly_by_recurrence
 from descpoly.polynomial import IntPoly
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -139,14 +141,18 @@ def test_table_rows_take_one_write_per_batch(count):
 
 
 def test_a_long_table_never_writes_more_than_1024_rows_at_once(capsys, monkeypatch):
-    argv = "table --n 0:90 --k 3 --format json"
-    writes: list[str] = []
-    monkeypatch.setattr(sys.stdout, "write", writes.append)
-    assert cli.main(argv.split()) == 0
-    rows = [piece.count('"value": ') for piece in writes]
-    assert sum(rows) > 2048
-    assert max(rows) == 1024
-    assert "".join(writes) == json_text(_doc(argv)) + "\n"
+    polys = {n: {"rec": descent_poly_by_recurrence(n, 3)} for n in range(91)}
+    # a JSON row has one "value" key, a plain or CSV row ends in a digit
+    for fmt, row in [("json", '"value": '), ("plain", r"\d\n"), ("csv", r"\d\n")]:
+        argv = f"table --n 0:90 --k 3 --format {fmt}"
+        writes: list[str] = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert cli.main(argv.split()) == 0
+        monkeypatch.undo()
+        rows = [len(re.findall(row, piece)) for piece in writes]
+        assert sum(rows) > 2048, fmt
+        assert max(rows) == 1024, fmt
+        assert "".join(writes) == table_text(polys, 3, "rec", fmt), fmt
 
 
 class Counted(int):
