@@ -104,9 +104,10 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
         fields = ",".join(f'\n{inner}  "{key}": {_CELLS.get(key, "%d")}' for key in keys)
         by_flag = tuple(f"{inner}{{{fields}\n{inner}}}".replace("%s", word) for word in ("false", "true"))
         cells = itemgetter(*(obj.header.index(key) for key in keys if key != "agree"))
+        i = -1  # no batch: the rows print as [], as json.dumps prints an empty list
         for i, text in enumerate(_batches(by_flag[: len(obj.header) - 3], obj.rows, ",\n", cells)):
             write(("," if i else "[") + "\n" + text)  # a batch of rows per write bounds the text in hand
-        write(f"\n{indent}]")
+        write(f"\n{indent}]" if i >= 0 else "[]")
         return
     if isinstance(obj, Iterator):
         obj = list(obj)

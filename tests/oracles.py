@@ -90,6 +90,13 @@ def bounded_drop_census(n: int, k: int) -> list[int]:
     return counts
 
 
+def standardize_word(word) -> tuple[int, ...]:
+    """Each entry replaced by its rank among the entries, 1 for the least:
+    ``sorted(word).index(v) + 1``, quadratic and with no rank table."""
+    ordered = sorted(word)
+    return tuple(ordered.index(v) + 1 for v in word)
+
+
 def bubble_pass(w: tuple) -> tuple:
     """One bubble pass by its split-at-maximum definition: pass over the
     part left of the maximum, then the part right of it, then the maximum."""

@@ -140,6 +140,14 @@ def test_table_rows_take_one_write_per_batch(count):
     assert "".join(writes) == expected[len('{\n  "rows": ') : -2]
 
 
+@pytest.mark.parametrize("header", [["n", "k", "r", "value"], ["n", "k", "r", "value", "agree"]])
+def test_a_table_with_no_rows_is_an_empty_list(header):
+    # no batch of rows means no opening bracket from the batch loop
+    for doc in [{"rows": cli._TableRows(header, [])}, {"a": 1, "rows": cli._TableRows(header, []), "z": [1]}]:
+        assert _written(doc) == json_text(doc)
+        assert '"rows": []' in _written(doc)
+
+
 def test_a_long_table_never_writes_more_than_1024_rows_at_once(capsys, monkeypatch):
     polys = {n: {"rec": descent_poly_by_recurrence(n, 3)} for n in range(91)}
     # a JSON row has one "value" key, a plain or CSV row ends in a digit

@@ -1,7 +1,10 @@
 import hashlib
 import random
+import sys
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
+from threading import Barrier, Thread
 
 import pytest
 from hypothesis import given
@@ -28,8 +31,10 @@ from oracles import (
     descent_count,
     descent_superset_by_filter,
     descent_superset_multinomial,
+    eulerian_number,
     max_drop,
     stack_pass,
+    standardize_word,
 )
 from test_juggling import _bounded_drop_sample
 
@@ -221,6 +226,93 @@ def test_detach_tail_empty_spec():
     sigma, tail = detach_tail(p, DescentSetSpec(3, ()))
     assert sigma == standardize((2, 1))
     assert tail == frozenset({3})
+
+
+# the bound of the standardization memo, as the README documents it
+RANKS_BOUND = 4
+
+
+def test_detach_tail_matches_the_rank_oracle_on_every_peel():
+    # every (p, S) with S inside Des(p) for n <= 7, in the order that makes the
+    # peels of one p repeat their prefix, so the memo's hits are checked too
+    permutation._ranks.cache_clear()
+    cases = 0
+    for n in range(1, 8):
+        for values in permutations(range(1, n + 1)):
+            p = Permutation(values)
+            descents = sorted(p.descent_set())
+            for r in range(len(descents) + 1):
+                for S in combinations(descents, r):
+                    tail = 0
+                    while n - 1 - tail in S:
+                        tail += 1
+                    cut = n - tail - 1
+                    sigma, xs = detach_tail(p, DescentSetSpec(n, S))
+                    assert sigma.values == standardize_word(values[:cut]), (values, S)
+                    assert xs == frozenset(values[cut:])
+                    cases += 1
+    # a permutation with d descents has 2^d sets S: the Eulerian numbers weighted by 2^d
+    assert cases == sum(eulerian_number(n, d) * 2**d for n in range(1, 8) for d in range(n))
+    assert permutation._ranks.cache_info().hits > permutation._ranks.cache_info().misses
+
+
+def test_the_standardization_memo_keeps_its_documented_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`functools.lru_cache(maxsize={RANKS_BOUND})`" in readme
+    permutation._ranks.cache_clear()
+    for i in range(10 * RANKS_BOUND):
+        word = (i + 1, -i - 1, 0, 2 * i + 5)
+        assert standardize(word).values == standardize_word(word)
+        info = permutation._ranks.cache_info()
+        assert info.maxsize == RANKS_BOUND and info.currsize <= RANKS_BOUND
+    info = permutation._ranks.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 10 * RANKS_BOUND, RANKS_BOUND)
+
+
+def test_standardize_gives_equal_results_for_a_list_and_a_tuple():
+    for first, second in [([7, 2, 9, 4], (7, 2, 9, 4)), ((8, 3, 6), [8, 3, 6])]:
+        # the first call fills the memo, the second reads it
+        assert standardize(first) == standardize(second) == Permutation(standardize_word(first))
+
+
+def test_a_repeated_entry_raises_after_the_repeat_free_word_is_memoised():
+    assert standardize((4, 9, 2)).values == (2, 3, 1)
+    before = permutation._ranks.cache_info()
+    for word in [(4, 9, 2, 9), (4, 9, 9), [4, 4, 9, 2], (2, 2)]:
+        with pytest.raises(ValueError, match="distinct"):
+            standardize(word)
+    # the check ran before the memo, which saw none of the words
+    assert permutation._ranks.cache_info() == before
+    assert standardize((4, 9, 2)).values == (2, 3, 1)
+
+
+def test_standardize_from_concurrent_threads():
+    # more threads than cores and a short switch interval, so the threads
+    # interleave inside the memo; overlapping word lists make them share entries
+    grounds = [(1, 3, 5, 7), (2, 3, 8, 9)]
+    words = [unstandardize(Permutation(p), g) for g in grounds for p in permutations(range(1, 5))]
+    want = {w: standardize_word(w) for w in words}
+    start, wrong = Barrier(4), []
+
+    def work(shift):
+        start.wait(timeout=30)
+        for _ in range(200):
+            for w in words[shift:] + words[:shift]:
+                if standardize(w).values != want[w]:
+                    wrong.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=work, args=(shift,)) for shift in (0, 3, 11, 30)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_detach_tail_has_nothing_to_peel_off_the_empty_permutation():
