@@ -9,7 +9,7 @@ notation: ``Permutation((3, 1, 2))`` sends 1 to 3.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import product
 from math import comb, factorial
@@ -59,23 +59,28 @@ class Permutation:
 
     The constructor passes each entry through ``operator.index`` (a float
     raises ``TypeError``, a bool becomes an int) and checks that the entries
-    are 1..n in some order.
+    are 1..n in some order.  The descent set is computed once per
+    permutation, by the first ``descent_set`` call, and kept in
+    ``_descents``, which takes no part in equality, hashing or repr.
     """
 
     values: tuple[int, ...]
+    _descents: frozenset[int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, values: Iterable[int] = ()):
         vs = tuple(map(index, values))
         if sorted(vs) != list(range(1, len(vs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(vs)}: {vs}")
-        object.__setattr__(self, "values", vs)
+        _set_values(self, vs)
+        _set_descents(self, None)
 
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> Permutation:
         # no check: only for a tuple of ints that is a permutation of 1..n by
         # construction; outside input goes through __init__
         p = object.__new__(cls)
-        object.__setattr__(p, "values", values)
+        _set_values(p, values)
+        _set_descents(p, None)
         return p
 
     @classmethod
@@ -92,8 +97,12 @@ class Permutation:
         >>> sorted(Permutation((1, 3, 8, 4, 2, 5, 9, 7, 6)).descent_set())
         [3, 4, 7, 8]
         """
-        v = self.values
-        return frozenset(i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1])
+        descents = self._descents
+        if descents is None:
+            v = self.values
+            descents = frozenset(i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1])
+            _set_descents(self, descents)
+        return descents
 
     def maxdrop(self) -> int:
         """Largest value of position minus entry; 0 for the identity."""
@@ -121,6 +130,11 @@ class Permutation:
         return m
 
 
+# the slot descriptors, as in JugglingSequence: cheaper per call than object.__setattr__
+_set_values = Permutation.values.__set__
+_set_descents = Permutation._descents.__set__
+
+
 def standardize(word: Sequence[int]) -> Permutation:
     """Rank-replace a word of distinct integers onto 1..len(word); the result
     is order isomorphic to the input and has the same descent set.
@@ -129,17 +143,16 @@ def standardize(word: Sequence[int]) -> Permutation:
     (1, 5, 3, 4, 2)
     """
     word = tuple(word)
-    if len(set(word)) != len(word):
-        raise ValueError(f"entries must be distinct: {word}")
-    return _ranks(word)
-
-
-@lru_cache(maxsize=4)  # the smallest bound with 98% of 64's hits on the round trip at n = 7 and 8
-def _ranks(word: tuple[int, ...]) -> Permutation:
-    # standardize a word already known to have distinct entries; the peels of one
-    # permutation share a prefix per tail length, so a repeat costs one tuple hash
     rank = {v: i for i, v in enumerate(sorted(word), 1)}
+    if len(rank) != len(word):
+        raise ValueError(f"entries must be distinct: {word}")
     return Permutation._trusted(tuple(map(rank.__getitem__, word)))
+
+
+# for the prefixes detach_tail peels alone: the peels of one permutation share a
+# prefix per tail length, so a repeat costs one tuple hash.  4 is the smallest
+# bound with 98% of 64's hits on the round trip at n = 7 and 8
+_ranks = lru_cache(maxsize=4)(standardize)
 
 
 def unstandardize(p: Permutation, ground: Iterable[int]) -> tuple[int, ...]:
@@ -152,9 +165,9 @@ def unstandardize(p: Permutation, ground: Iterable[int]) -> tuple[int, ...]:
     g = sorted(ground)
     if len(set(g)) != len(g):
         raise ValueError(f"ground values must be distinct: {g}")
-    if len(g) != p.n:
+    if len(g) != len(p.values):
         raise ValueError(f"ground set of size {len(g)} for a permutation of length {p.n}")
-    return tuple(g[v - 1] for v in p.values)
+    return tuple([g[v - 1] for v in p.values])
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +178,7 @@ class DescentSetSpec:
 
     n: int
     positions: frozenset[int]
+    _tail: int = field(default=0, init=False, compare=False, repr=False)
 
     def __init__(self, n: int, positions: Iterable[int] = ()):
         n = index(n)
@@ -173,16 +187,17 @@ class DescentSetSpec:
         ps = frozenset(map(index, positions))
         if ps and not 1 <= min(ps) <= max(ps) <= n - 1:
             raise ValueError(f"positions {sorted(ps)} not within [1, {n - 1}]")
+        tail = 0
+        while n - 1 - tail in ps:
+            tail += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", ps)
+        object.__setattr__(self, "_tail", tail)
 
     def tail_length(self) -> int:
         """Length of the maximal run n-i, ..., n-1 contained in the position
         set; 0 whenever n-1 is absent."""
-        i = 0
-        while (self.n - 1 - i) in self.positions:
-            i += 1
-        return i
+        return self._tail
 
 
 def detach_tail(p: Permutation, spec: DescentSetSpec) -> tuple[Permutation, frozenset[int]]:
@@ -197,9 +212,9 @@ def detach_tail(p: Permutation, spec: DescentSetSpec) -> tuple[Permutation, froz
         raise ValueError("nothing to peel")
     if spec.n != len(v):
         raise ValueError(f"spec length {spec.n} != permutation length {len(v)}")
-    if not all(v[j - 1] > v[j] for j in spec.positions):
-        missing = sorted(spec.positions - p.descent_set())
-        raise ValueError(f"required descents {missing} absent from {v}")
+    descents = p.descent_set()
+    if not spec.positions <= descents:
+        raise ValueError(f"required descents {sorted(spec.positions - descents)} absent from {v}")
     cut = len(v) - spec.tail_length() - 1
     return _ranks(v[:cut]), frozenset(v[cut:])
 

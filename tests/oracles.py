@@ -97,6 +97,19 @@ def standardize_word(word) -> tuple[int, ...]:
     return tuple(ordered.index(v) + 1 for v in word)
 
 
+def missing_descents(values, positions) -> list[int]:
+    """The required positions j, in increasing order, at which ``values``
+    has no descent, each tested on its own: value(j) < value(j+1)."""
+    return [j for j in sorted(positions) if values[j - 1] < values[j]]
+
+
+def tail_run_length(n: int, positions) -> int:
+    """How many of the positions n-1, n-2, ... are required before the first
+    one that is not, read off the 0/1 string of positions 1..n-1."""
+    marks = "".join("1" if j in positions else "0" for j in range(1, n))
+    return len(marks) - len(marks.rstrip("1"))
+
+
 def bubble_pass(w: tuple) -> tuple:
     """One bubble pass by its split-at-maximum definition: pass over the
     part left of the maximum, then the part right of it, then the maximum."""

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import sys
 from itertools import combinations, permutations
@@ -33,8 +35,10 @@ from oracles import (
     descent_superset_multinomial,
     eulerian_number,
     max_drop,
+    missing_descents,
     stack_pass,
     standardize_word,
+    tail_run_length,
 )
 from test_juggling import _bounded_drop_sample
 
@@ -62,6 +66,22 @@ def test_descent_set():
     p = Permutation((3, 1, 4, 2))
     assert p.descent_set() == frozenset({1, 3})
     assert len(p.descent_set()) == 2
+
+
+@pytest.mark.parametrize("values", [(1, 3, 8, 4, 2, 5, 9, 7, 6), (2, 1), (1,), ()])
+def test_the_kept_descent_set_is_invisible(values):
+    fresh = Permutation(values)
+    before = (hash(fresh), repr(fresh), pickle.loads(pickle.dumps(fresh)))
+    used = Permutation(values)
+    descents = used.descent_set()
+    assert used.descent_set() is descents  # computed once, then kept
+    twins = [used, copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))]
+    for twin in twins:
+        assert twin == fresh and (hash(twin), repr(twin), twin) == before
+        assert repr(twin) == f"Permutation(values={values})"
+    want = frozenset(i for i in range(1, len(values)) if values[i - 1] > values[i])
+    assert [twin.descent_set() for twin in twins] == [want] * 4 == [fresh.descent_set()] * 4
+    assert (hash(fresh), repr(fresh), pickle.loads(pickle.dumps(fresh))) == before
 
 
 def test_maxdrop():
@@ -180,6 +200,28 @@ def test_tail_length():
     assert DescentSetSpec(9, {3, 7, 8}).tail_length() == 2
     assert DescentSetSpec(5, ()).tail_length() == 0
     assert DescentSetSpec(4, {1, 2, 3}).tail_length() == 3
+    # worked out once, in the constructor, for every position set at n <= 8
+    for n in range(9):
+        for r in range(n + 1):
+            for S in combinations(range(1, n), r):
+                assert DescentSetSpec(n, S).tail_length() == tail_run_length(n, S), (n, S)
+    # the kept length stays out of the repr, as it does out of equality and hashing
+    assert repr(DescentSetSpec(4, {2, 3})) == "DescentSetSpec(n=4, positions=frozenset({2, 3}))"
+
+
+def test_detach_tail_raises_exactly_when_a_required_descent_is_missing():
+    for n in range(1, 7):
+        specs = [DescentSetSpec(n, S) for r in range(n) for S in combinations(range(1, n), r)]
+        for values in permutations(range(1, n + 1)):
+            p = Permutation(values)
+            for spec in specs:
+                missing = missing_descents(values, spec.positions)
+                if missing:
+                    with pytest.raises(ValueError) as raised:
+                        detach_tail(p, spec)
+                    assert str(raised.value) == f"required descents {missing} absent from {values}"
+                else:
+                    detach_tail(p, spec)
 
 
 def test_descent_set_spec_validates_positions():
@@ -230,6 +272,9 @@ def test_detach_tail_empty_spec():
 
 # the bound of the standardization memo, as the README documents it
 RANKS_BOUND = 4
+# the memo's counts over check_bijection_round_trip(7, 7) from an empty memo:
+# 105,218 peels, of which 20,308 rank a prefix
+ROUND_TRIP_HITS, ROUND_TRIP_MISSES = 84_910, 20_308
 
 
 def test_detach_tail_matches_the_rank_oracle_on_every_peel():
@@ -257,49 +302,65 @@ def test_detach_tail_matches_the_rank_oracle_on_every_peel():
 
 
 def test_the_standardization_memo_keeps_its_documented_bound():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert f"`functools.lru_cache(maxsize={RANKS_BOUND})`" in readme
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert f"`functools.lru_cache(maxsize={RANKS_BOUND})` that serves `detach_tail` only" in readme
     permutation._ranks.cache_clear()
-    for i in range(10 * RANKS_BOUND):
-        word = (i + 1, -i - 1, 0, 2 * i + 5)
-        assert standardize(word).values == standardize_word(word)
+    # the first 10 * RANKS_BOUND permutations of [5] have distinct 4-entry prefixes
+    perms = list(permutations(range(1, 6)))[: 10 * RANKS_BOUND]
+    for values in perms:
+        sigma, xs = detach_tail(Permutation(values), DescentSetSpec(5))
+        assert sigma.values == standardize_word(values[:4]) and xs == {values[4]}
         info = permutation._ranks.cache_info()
         assert info.maxsize == RANKS_BOUND and info.currsize <= RANKS_BOUND
     info = permutation._ranks.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 10 * RANKS_BOUND, RANKS_BOUND)
+    # the last RANKS_BOUND prefixes are still held; the one before them is not
+    for values in perms[-RANKS_BOUND:]:
+        detach_tail(Permutation(values), DescentSetSpec(5))
+    assert permutation._ranks.cache_info().hits == RANKS_BOUND
+    detach_tail(Permutation(perms[-RANKS_BOUND - 1]), DescentSetSpec(5))
+    assert permutation._ranks.cache_info().misses == 10 * RANKS_BOUND + 1
 
 
 def test_standardize_gives_equal_results_for_a_list_and_a_tuple():
     for first, second in [([7, 2, 9, 4], (7, 2, 9, 4)), ((8, 3, 6), [8, 3, 6])]:
-        # the first call fills the memo, the second reads it
         assert standardize(first) == standardize(second) == Permutation(standardize_word(first))
 
 
-def test_a_repeated_entry_raises_after_the_repeat_free_word_is_memoised():
-    assert standardize((4, 9, 2)).values == (2, 3, 1)
+def test_a_repeated_entry_raises_and_standardize_leaves_the_memo_alone():
     before = permutation._ranks.cache_info()
+    assert standardize((4, 9, 2)).values == (2, 3, 1)
     for word in [(4, 9, 2, 9), (4, 9, 9), [4, 4, 9, 2], (2, 2)]:
         with pytest.raises(ValueError, match="distinct"):
             standardize(word)
-    # the check ran before the memo, which saw none of the words
+    # only detach_tail's prefixes go through the memo
     assert permutation._ranks.cache_info() == before
     assert standardize((4, 9, 2)).values == (2, 3, 1)
 
 
-def test_standardize_from_concurrent_threads():
+def test_detach_tail_from_concurrent_threads():
     # more threads than cores and a short switch interval, so the threads
-    # interleave inside the memo; overlapping word lists make them share entries
-    grounds = [(1, 3, 5, 7), (2, 3, 8, 9)]
-    words = [unstandardize(Permutation(p), g) for g in grounds for p in permutations(range(1, 5))]
-    want = {w: standardize_word(w) for w in words}
+    # interleave inside the memo; overlapping case lists make them share entries
+    specs = [DescentSetSpec(5, S) for S in [(), (4,), (3, 4), (2, 4)]]
+    cases = [
+        (p, spec)
+        for p in map(Permutation, permutations(range(1, 6)))
+        for spec in specs
+        if spec.positions <= p.descent_set()
+    ]
+    want = {}
+    for p, spec in cases:
+        cut = 4 - spec.tail_length()
+        want[p, spec] = (standardize_word(p.values[:cut]), frozenset(p.values[cut:]))
     start, wrong = Barrier(4), []
 
     def work(shift):
         start.wait(timeout=30)
-        for _ in range(200):
-            for w in words[shift:] + words[:shift]:
-                if standardize(w).values != want[w]:
-                    wrong.append(w)
+        for _ in range(20):
+            for p, spec in cases[shift:] + cases[:shift]:
+                sigma, xs = detach_tail(p, spec)
+                if (sigma.values, xs) != want[p, spec]:
+                    wrong.append((p, spec))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -313,6 +374,17 @@ def test_standardize_from_concurrent_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_the_memo_serves_the_round_trip_and_not_the_standardization_check():
+    # deterministic counts at the verify defaults, (7, 7): a standardize sent
+    # back through the memo would move both
+    permutation._ranks.cache_clear()
+    assert verify.check_bijection_round_trip(7, 7).ok
+    info = permutation._ranks.cache_info()
+    assert (info.hits, info.misses) == (ROUND_TRIP_HITS, ROUND_TRIP_MISSES)
+    assert verify.check_standardization(7, 7).ok
+    assert permutation._ranks.cache_info() == info
 
 
 def test_detach_tail_has_nothing_to_peel_off_the_empty_permutation():
