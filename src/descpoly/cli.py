@@ -2,11 +2,13 @@
 polynomials, generating functions, siteswap transforms, and the verification
 suites.
 
-Each subcommand computes its results once, into a :class:`Record`, and
-:func:`emit` prints the one format asked for.  Exit codes: 0 success, 1 a
-failed cross-check or any other fault (named in one line on stderr) or a
-closed stdout pipe (silent), 2 a ``UsageError``.  JSON coefficient arrays
-carry integers as decimal strings, so any size survives a round trip.
+Each subcommand computes its results once, into a :class:`Record` of its JSON
+document and its CSV and plain text as lazy lines, and :func:`emit`, which knows
+no subcommand, prints the one format asked for, so only that one is ever built.
+Exit codes: 0 success, 1 a failed cross-check or any other fault (named in one
+line on stderr) or a closed stdout pipe (silent), 2 a ``UsageError``.  JSON
+coefficient arrays carry integers as decimal strings, so any size survives a
+round trip.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -54,13 +57,12 @@ def _batches(templates: tuple, rows: Iterable[Sequence], sep="\n", cells=tuple) 
 
 
 class Record(NamedTuple):
-    """One subcommand's results for any format: lazy ``lines`` (plain) and ``rows`` (CSV), cells
-    for csv to quote under ``header`` or lines if it is empty; ``failure`` is a failed check."""
+    """One subcommand's results for any format: the JSON ``doc``, and the CSV ``rows`` and plain
+    ``lines`` as one-shot iterators of text that only ``emit`` advances; ``failure`` is a failed check."""
 
     doc: dict
-    header: list[str]
-    rows: Iterable[Sequence]
-    lines: Iterable[str]
+    rows: Iterator[str]
+    lines: Iterator[str]
     failure: str | None = None
 
 
@@ -131,7 +133,7 @@ _LIFT, _lifted = threading.Lock(), [0, 0]  # emit calls printing now, and the di
 
 
 def emit(fmt: str, record: Record) -> int:
-    """Print ``record`` as plain text, JSON or CSV and return the exit code:
+    """Print ``record``'s JSON document or its CSV or plain lines and return the exit code:
     CHECK_FAILED, after one stderr line, when the record carries a failure.
     CPython's int-to-string digit limit is lifted here, and only here."""
     with _LIFT:  # the first call in saves and lifts the limit, the last one out restores it
@@ -143,8 +145,6 @@ def emit(fmt: str, record: Record) -> int:
         if fmt == "json":
             _write_json(record.doc, sys.stdout.write)
             sys.stdout.write("\n")
-        elif fmt == "csv" and record.header:  # verify's detail texts carry commas and quotes
-            csv.writer(sys.stdout, lineterminator="\n").writerows(chain([record.header], record.rows))
         else:  # a string may hold a batch of lines
             sys.stdout.writelines(map("{}\n".format, record.rows if fmt == "csv" else record.lines))
         sys.stdout.flush()  # a closed pipe is met here, not at exit
@@ -194,7 +194,7 @@ def _cmd_table(args: argparse.Namespace) -> Record:
     cells = itemgetter(slice(4))  # an agree flag picks its row's template and fills no cell
     plain = chain(["# " + " ".join(header)], _batches(_PLAIN[len(header) - 4], rows, cells=cells))
     csv_lines = chain([",".join(header)], _batches(_CSV[len(header) - 4], rows, cells=cells))
-    return Record(doc, [], csv_lines, plain, failure)
+    return Record(doc, csv_lines, plain, failure)
 
 
 def _kernel(k: int, which: str, construction: str) -> IntPoly:
@@ -235,7 +235,7 @@ def _cmd_poly(args: argparse.Namespace) -> Record:
     csv_lines = chain(["k,which,construction,exponent,coefficient"], _batches(("%d,%s,%s,%d,%d",), cells))
     coeffs = {name: list(p.coeffs) for name, p in built.items()}
     failure = None if agree else f"construction disagreement for {which} at k={k}: {coeffs}"
-    return Record(doc, [], csv_lines, lines(), failure)
+    return Record(doc, csv_lines, lines(), failure)
 
 
 def _cmd_gf(args: argparse.Namespace) -> Record:
@@ -247,7 +247,7 @@ def _cmd_gf(args: argparse.Namespace) -> Record:
     plain = (f"{part} z^{zpow}: {p.pretty('y')}" for part, zpow, p in terms)
     lines = chain([f"# generating function, k={args.k}"], plain)
     csv_lines = chain(["part,zpow,ypow,value"], _batches(("%s,%d,%d,%d",), chain.from_iterable(cells)))
-    return Record(doc, [], csv_lines, lines)
+    return Record(doc, csv_lines, lines)
 
 
 def _cmd_juggle(args: argparse.Namespace) -> Record:
@@ -272,21 +272,15 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
         "reduced": reduced,
         "crosscheck": crosscheck,
     }
-
-    def cells():  # a tuple is one cell of space-separated entries; None is empty, as in csv
-        values = fields.values()
-        yield [" ".join(map(str, v)) if isinstance(v, tuple) else "" if v is None else v for v in values]
-
-    def lines():
-        yield f"perm: {p.values}"
-        yield f"throws: {T.throws}"
-        yield f"valid: {str(valid).lower()}"
-        if valid:
-            yield f"balls: {balls}"
-        if reduced is not None:
-            yield f"one ball removed: {reduced}"
-        yield f"bubble crosscheck: {crosscheck}"
-
+    values = fields.values()  # in CSV a tuple is one cell of space-separated entries, None an empty one
+    cells = (" ".join(map(str, v)) if isinstance(v, tuple) else "" if v is None else str(v) for v in values)
+    csv_lines = chain([",".join(fields)], map(",".join, [cells]))
+    labels = {"reduced": "one ball removed", "crosscheck": "bubble crosscheck"}
+    plain = (  # a line a field but k, as label: value, with None left out and a bool in lower case
+        f"{labels.get(name, name)}: {str(v).lower() if isinstance(v, bool) else v}"
+        for name, v in fields.items()
+        if name != "k" and v is not None
+    )
     failure = None
     if not valid:
         failure = f"encoding: not a valid juggling sequence: {T.throws}"
@@ -295,8 +289,7 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
             f"bubble crosscheck: mismatch: one ball removed gives {reduced}, "
             f"the bubble-sorted permutation encodes {expected}"
         )
-    csv_lines = chain([",".join(fields)], _batches(("%s,%s,%s,%s,%s,%s,%s",), cells()))  # a bool as True
-    return Record({"command": "juggle", **fields}, [], csv_lines, lines(), failure)
+    return Record({"command": "juggle", **fields}, csv_lines, plain, failure)
 
 
 def _verdict(r: CheckResult) -> str:
@@ -319,8 +312,14 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
     passed = len(results) - len(failed)
     summary = f"# {passed}/{len(results)} checks passed (nmax={nmax}, kmax={kmax})"
     plain = chain(map(_verdict, results), [summary])
+
+    def csv_lines():  # quoted, for the commas, quotes and newlines that names and details carry
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([["suite", "name", "ok", "detail"], *cells])
+        yield out.getvalue()[:-1]  # one string of every line, which emit ends with the last newline
+
     failure = _verdict(failed[0]) if failed else None
-    return Record(doc, ["suite", "name", "ok", "detail"], cells, plain, failure)
+    return Record(doc, csv_lines(), plain, failure)
 
 
 _FORMAT = dict(choices=["plain", "json", "csv"], default="plain", help="output format (default plain)")

@@ -256,3 +256,16 @@ def juggle_csv(fields: dict) -> str:
     value): one row, a tuple one cell of space-separated entries."""
     row = [" ".join(map(str, v)) if isinstance(v, tuple) else v for v in fields.values()]
     return csv_text(list(fields), [row])
+
+
+def juggle_plain(fields: dict) -> str:
+    """The stdout of plain ``descpoly juggle`` for ``fields`` (column -> value),
+    written line by line as the CLI first did: no ``k``, the ball count only for
+    a valid sequence, the reduced throws only when a ball was removed."""
+    lines = [f"perm: {fields['perm']}", f"throws: {fields['throws']}", f"valid: {str(fields['valid']).lower()}"]
+    if fields["valid"]:
+        lines.append(f"balls: {fields['balls']}")
+    if fields["reduced"] is not None:
+        lines.append(f"one ball removed: {fields['reduced']}")
+    lines.append(f"bubble crosscheck: {fields['crosscheck']}")
+    return "".join(line + "\n" for line in lines)

@@ -608,7 +608,7 @@ def test_overlapping_emits_restore_the_digit_limit(capsys):
         yield text
 
     def first():
-        cli.emit("plain", cli.Record({}, [], [], lines(a_in, b_in, "a")))
+        cli.emit("plain", cli.Record({}, [], lines(a_in, b_in, "a")))
         a_out.set()
 
     limit = sys.get_int_max_str_digits()
@@ -617,7 +617,7 @@ def test_overlapping_emits_restore_the_digit_limit(capsys):
         a = threading.Thread(target=first)
         a.start()
         a_in.wait(10)
-        b = threading.Thread(target=cli.emit, args=("plain", cli.Record({}, [], [], lines(b_in, a_out, "b"))))
+        b = threading.Thread(target=cli.emit, args=("plain", cli.Record({}, [], lines(b_in, a_out, "b"))))
         b.start()
         a.join(10)
         b.join(10)
@@ -638,7 +638,7 @@ def test_many_threads_printing_at_once_keep_the_digit_limit_lifted(capsys):
 
     def work():
         for _ in range(200):
-            cli.emit("plain", cli.Record({}, [], [], lines()))
+            cli.emit("plain", cli.Record({}, [], lines()))
 
     interval, limit = sys.getswitchinterval(), sys.get_int_max_str_digits()
     sys.setswitchinterval(1e-6)

@@ -237,7 +237,7 @@ def test_emit_streams_the_document_in_pieces(capsys, monkeypatch):
 
 def test_emit_lifts_the_digit_limit_around_the_writer(capsys):
     big, digits = 10**5000 + 1, "1" + "0" * 4999 + "1"
-    record = cli.Record({"p": IntPoly((-big, 0, big)), "n": big}, [], [], [])
+    record = cli.Record({"p": IntPoly((-big, 0, big)), "n": big}, [], [])
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
