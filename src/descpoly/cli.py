@@ -47,13 +47,11 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _batches(templates: tuple, rows: Iterable[Sequence], sep="\n", cells=tuple) -> Iterator[str]:
-    """``rows`` as strings of up to 1,024 joined by ``sep``, one ``%`` each: a row fills ``templates[0]``,
-    or of two the one its agree flag (a fifth cell) picks, with ``cells(row)``."""
-    rows, one = iter(rows), len(templates) == 1
+def _batches(template: str, rows: Iterable[Sequence], sep="\n", cells=tuple) -> Iterator[str]:
+    """``rows`` as strings of up to 1,024 joined by ``sep``, one ``%`` of ``template`` each."""
+    rows = iter(rows)
     while batch := list(islice(rows, 1024)):
-        picked = templates * len(batch) if one else [templates[row[4:] == (True,)] for row in batch]
-        yield sep.join(picked) % tuple(chain.from_iterable(map(cells, batch)))
+        yield sep.join([template] * len(batch)) % tuple(chain.from_iterable(map(cells, batch)))
 
 
 class Record(NamedTuple):
@@ -71,14 +69,17 @@ class Record(NamedTuple):
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _JSON = json.JSONEncoder()  # for a scalar or a key, which no separator reaches
 _CELLS = {"value": '"%d"', "agree": "%s"}  # a table row's JSON cells; n, k and r are %d
-# a table row's plain and CSV templates: one, or under an agree column the (false, true) pair
-_PLAIN = ("%d %d %d %d",), ("%d %d %d %d false", "%d %d %d %d true")
-_CSV = ("%d,%d,%d,%d",), ("%d,%d,%d,%d,False", "%d,%d,%d,%d,True")
+_WORDS = ("false", "true")  # a bool as plain text and JSON print it: _WORDS[flag]
+
+
+def _spelled(row: tuple) -> tuple:  # a --route all table row, its agree flag (fifth cell) as its word
+    n, k, r, value, agree = row  # unpacked: faster than a slice and a star
+    return n, k, r, value, _WORDS[agree]
 
 
 @dataclass(frozen=True, slots=True)
 class _TableRows:
-    """``table``'s header and row tuples, which ``_write_json`` prints a template a row."""
+    """``table``'s header and row tuples, which ``_write_json`` prints through one row template."""
 
     header: list[str]
     rows: list[tuple]
@@ -88,7 +89,7 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` would,
     reading an IntPoly as the list of its coefficients in decimal strings and
     an iterator as a list.  Each container is one step: one C-encoder call for one of
-    scalars, one ``%`` template a row for ``table``'s rows; the others recurse."""
+    scalars, one ``%`` template for all of ``table``'s rows; the others recurse."""
     inner = indent + "  "
     if isinstance(obj, IntPoly):  # decimal digits and a sign need no escaping
         if not (coeffs := obj.coeffs):
@@ -101,13 +102,13 @@ def _write_json(obj: object, write: Callable[[str], object], indent: str = "") -
         write(f'",\n{inner}"'.join(digits))
         write(f'"\n{indent}]')
         return
-    if isinstance(obj, _TableRows):  # one template a row, the agree flag picking which
+    if isinstance(obj, _TableRows):  # one template for every row, agree spelled as a word
         keys = sorted(obj.header)
         fields = ",".join(f'\n{inner}  "{key}": {_CELLS.get(key, "%d")}' for key in keys)
-        by_flag = tuple(f"{inner}{{{fields}\n{inner}}}".replace("%s", word) for word in ("false", "true"))
-        cells = itemgetter(*(obj.header.index(key) for key in keys if key != "agree"))
+        cells = itemgetter(*map(obj.header.index, keys))
+        rows = map(_spelled, obj.rows) if "agree" in obj.header else obj.rows
         i = -1  # no batch: the rows print as [], as json.dumps prints an empty list
-        for i, text in enumerate(_batches(by_flag[: len(obj.header) - 3], obj.rows, ",\n", cells)):
+        for i, text in enumerate(_batches(f"{inner}{{{fields}\n{inner}}}", rows, ",\n", cells)):
             write(("," if i else "[") + "\n" + text)  # a batch of rows per write bounds the text in hand
         write(f"\n{indent}]" if i >= 0 else "[]")
         return
@@ -171,6 +172,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_table(args: argparse.Namespace) -> Record:
+    if args.nmax < 0:  # on every route, before any runs
+        raise UsageError(f"nmax must be nonnegative, got {args.nmax}")
     n_lo, n_hi = _parse_range(args.n)
     # built per call from the module globals, so a patched route is the one run
     by_name = {
@@ -191,10 +194,10 @@ def _cmd_table(args: argparse.Namespace) -> Record:
         rows += zip(*columns[: len(header)])  # the agree flag only under its column
 
     doc = {"command": "table", "route": args.route, "rows": _TableRows(header, rows)}
-    cells = itemgetter(slice(4))  # an agree flag picks its row's template and fills no cell
-    plain = chain(["# " + " ".join(header)], _batches(_PLAIN[len(header) - 4], rows, cells=cells))
-    csv_lines = chain([",".join(header)], _batches(_CSV[len(header) - 4], rows, cells=cells))
-    return Record(doc, csv_lines, plain, failure)
+    specs = ["%d"] * 4 + ["%s"] * (len(header) - 4)  # agree: True/False in CSV, a word in plain text
+    plain = _batches(" ".join(specs), rows, cells=_spelled if args.route == "all" else tuple)
+    csv_lines = _batches(",".join(specs), rows)
+    return Record(doc, chain([",".join(header)], csv_lines), chain(["# " + " ".join(header)], plain), failure)
 
 
 def _kernel(k: int, which: str, construction: str) -> IntPoly:
@@ -205,9 +208,7 @@ def _kernel(k: int, which: str, construction: str) -> IntPoly:
     if which == "PP":
         base = kernel_poly(k) if construction == "stretch" else kernel_poly_by_duplication(k)
         return stretch(base, k)
-    if construction == "stretch":
-        return kernel_poly_by_stretch(k)
-    return kernel_poly_by_duplication(k)
+    return kernel_poly_by_stretch(k) if construction == "stretch" else kernel_poly_by_duplication(k)
 
 
 def _cmd_poly(args: argparse.Namespace) -> Record:
@@ -228,11 +229,11 @@ def _cmd_poly(args: argparse.Namespace) -> Record:
             yield f"{which} k={k} [{name}]: {p.pretty('u')}"
             yield f"  coeffs: {list(p.coeffs)}"
         if args.construction == "all":
-            yield f"agree: {str(agree).lower()}"
+            yield f"agree: {_WORDS[agree]}"
 
     doc = {"command": "poly", "k": k, "which": which, "constructions": built, "agree": agree}
     cells = ((k, which, name, e, c) for name, p in built.items() for e, c in enumerate(p.coeffs))
-    csv_lines = chain(["k,which,construction,exponent,coefficient"], _batches(("%d,%s,%s,%d,%d",), cells))
+    csv_lines = chain(["k,which,construction,exponent,coefficient"], _batches("%d,%s,%s,%d,%d", cells))
     coeffs = {name: list(p.coeffs) for name, p in built.items()}
     failure = None if agree else f"construction disagreement for {which} at k={k}: {coeffs}"
     return Record(doc, csv_lines, lines(), failure)
@@ -246,7 +247,7 @@ def _cmd_gf(args: argparse.Namespace) -> Record:
     cells = (zip(repeat(part), repeat(zpow), count(), p.coeffs) for part, zpow, p in terms)
     plain = (f"{part} z^{zpow}: {p.pretty('y')}" for part, zpow, p in terms)
     lines = chain([f"# generating function, k={args.k}"], plain)
-    csv_lines = chain(["part,zpow,ypow,value"], _batches(("%s,%d,%d,%d",), chain.from_iterable(cells)))
+    csv_lines = chain(["part,zpow,ypow,value"], _batches("%s,%d,%d,%d", chain.from_iterable(cells)))
     return Record(doc, csv_lines, lines)
 
 
@@ -276,15 +277,13 @@ def _cmd_juggle(args: argparse.Namespace) -> Record:
     cells = (" ".join(map(str, v)) if isinstance(v, tuple) else "" if v is None else str(v) for v in values)
     csv_lines = chain([",".join(fields)], map(",".join, [cells]))
     labels = {"reduced": "one ball removed", "crosscheck": "bubble crosscheck"}
-    plain = (  # a line a field but k, as label: value, with None left out and a bool in lower case
-        f"{labels.get(name, name)}: {str(v).lower() if isinstance(v, bool) else v}"
+    plain = (  # a line a field but k, as label: value, with None left out and a bool as its word
+        f"{labels.get(name, name)}: {_WORDS[v] if isinstance(v, bool) else v}"
         for name, v in fields.items()
         if name != "k" and v is not None
     )
-    failure = None
-    if not valid:
-        failure = f"encoding: not a valid juggling sequence: {T.throws}"
-    elif crosscheck == "mismatch":
+    failure = None if valid else f"encoding: not a valid juggling sequence: {T.throws}"
+    if crosscheck == "mismatch":  # only a valid sequence has a ball removed
         failure = (
             f"bubble crosscheck: mismatch: one ball removed gives {reduced}, "
             f"the bubble-sorted permutation encodes {expected}"

@@ -297,7 +297,10 @@ USAGE_ERRORS = {
     "table --n 3::4 --k 1": "invalid literal for int() with base 10: ':4'",
     "table --n -1 --k 1": "bad range '-1'",
     "table --n 2:12 --k 1 --route all": "enumeration for n=11 exceeds cap 10",
-    "table --n 3 --k 1 --route enum --nmax -1": "enumeration for n=3 exceeds cap -1",
+    "table --n 3 --k 1 --route enum --nmax -1": "nmax must be nonnegative, got -1",
+    "table --n 3 --k 1 --nmax -1": "nmax must be nonnegative, got -1",
+    "table --n 5 --k 1 --route closed --nmax -3": "nmax must be nonnegative, got -3",
+    "table --n 0:4 --k 1 --route all --nmax -2": "nmax must be nonnegative, got -2",
     "poly --k -1": "k must be nonnegative",
     "poly --k -1 --construction stretch": "stretch construction starts at k = 1",
     "poly --k -1 --which PP --construction duplication": "duplication construction starts at k = 1",
@@ -326,6 +329,17 @@ def test_a_fault_in_a_route_is_a_failure_not_a_usage_error(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "table", "--n", "3", "--k", "1")
     assert (code, out) == (1, "")
     assert err == f"FAIL table: {type(exc).__name__}: injected fault\n"
+
+
+@pytest.mark.parametrize("route", ["enum", "rec", "closed", "all"])
+def test_a_negative_nmax_is_refused_before_any_route_runs(capsys, monkeypatch, route):
+    def injected(n, k, cap=None):
+        raise AssertionError("a route ran")
+
+    for name in ("descent_poly_by_enumeration", "descent_poly_by_recurrence", "descent_poly_by_closed_form"):
+        monkeypatch.setattr(cli, name, injected)
+    code, out, err = run_cli(capsys, "table", "--n", "0:3", "--k", "1", "--route", route, "--nmax", "-1")
+    assert (code, out, err) == (2, "", "error: nmax must be nonnegative, got -1\n")
 
 
 def test_table_route_disagreement_exits_1(capsys, monkeypatch):

@@ -4,6 +4,7 @@ tests hold its stdout to the dict-per-row rendering it replaced,
 to 10 and every route."""
 
 import functools
+import json
 from math import factorial
 
 import pytest
@@ -80,20 +81,45 @@ def test_a_disagreeing_route_prints_agree_false(capsys, monkeypatch, fmt):
     assert err == f"route disagreement at n=4 k=2: {first}\n"
 
 
+def _perturbed(n, k):  # off by u at odd n, so at k = 0 the agree flags alternate row by row
+    poly = descent_poly_by_recurrence(n, k)
+    return poly + IntPoly((0, 1)) if n % 2 else poly
+
+
 @functools.cache
 def _identity_rows(count: int, route: str) -> dict:
     # at k = 0 each n has one row, the identity's, so n = 0..count-1 is count rows
     routes = {**ROUTES, "enum": lambda n, k: descent_poly_by_enumeration(n, k, cap=n)}
-    names = list(routes) if route == "all" else [route]
+    if route == "perturbed":
+        routes["rec"] = _perturbed
+    names = [route] if route in routes else list(routes)
     return {n: {name: routes[name](n, 0) for name in names} for n in range(count)}
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv"])
-@pytest.mark.parametrize("route", ["rec", "all"])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("route", ["rec", "all", "perturbed"])
 @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
-def test_tables_across_the_1024_row_batch_edges(capsys, count, route, fmt):
-    argv = ["table", "--n", f"0:{count - 1}", "--k", "0", "--route", route, "--format", fmt]
-    assert main([*argv, "--nmax", str(count)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == count + 1
-    assert out == table_text(_identity_rows(count, route), 0, route, fmt)
+def test_tables_across_the_1024_row_batch_edges(capsys, monkeypatch, count, route, fmt):
+    # "perturbed" is --route all with the rec route off at odd n: each batch of two or more
+    # rows then prints both words, and the rows either side of a batch edge differ
+    if route == "perturbed":
+        monkeypatch.setattr(cli, "descent_poly_by_recurrence", _perturbed)
+    shown = "rec" if route == "rec" else "all"
+    argv = ["table", "--n", f"0:{count - 1}", "--k", "0", "--route", shown, "--format", fmt]
+    code = main([*argv, "--nmax", str(count)])
+    out, err = capsys.readouterr()
+    polys = _identity_rows(count, route)
+    assert out == table_text(polys, 0, shown, fmt)
+    if fmt == "json":
+        flags = [row.get("agree") for row in json.loads(out)["rows"]]
+    else:
+        assert out.count("\n") == count + 1
+        flags = [line.rpartition(" " if fmt == "plain" else ",")[2] for line in out.splitlines()[1:]]
+    if route != "rec":
+        words = {"plain": ("false", "true"), "json": (False, True), "csv": ("False", "True")}[fmt]
+        assert flags == [words[route == "all" or n % 2 == 0] for n in range(count)]
+    if route == "perturbed":
+        first = {name: list(p.coeffs) for name, p in polys[1].items()}
+        assert (code, err) == (1, f"route disagreement at n=1 k=0: {first}\n")
+    else:
+        assert (code, err) == (0, "")
